@@ -15,10 +15,8 @@ from .matrix_core import (
     PreconditionError,
     ShapeError,
     StructureError,
-    dagger,
     haar_random,
     is_unitary,
-    matmul,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
@@ -34,6 +32,7 @@ from .recursive_param import (
     Decomposition,
     Factor,
     Generator,
+    apply_factor,
     block,
     compose,
     decompose,

@@ -81,10 +81,6 @@ def _emit_matrix(path: str, x, fmt: str):
         _emit_json(path, mc.matrix_to_json_dict(x))
 
 
-def _load_matrix(obj) -> np.ndarray:
-    return mc.matrix_from_json_dict(obj)
-
-
 def _detect_params(obj):
     """Distinguish chain-decomposition from symmetric-parameter documents."""
     if isinstance(obj, dict) and "factors" in obj:
@@ -130,7 +126,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    x = _load_matrix(_read_json(args.infile))
+    x = mc.matrix_from_json_dict(_read_json(args.infile))
     d = rp.decompose(x, tol=args.tol)
     if args.gauge == "canonical" and args.order == "desc":
         raise mc.DomainError(
@@ -158,7 +154,7 @@ def _cmd_invariants(args) -> int:
     obj = _read_json(args.infile)
     omegas = None
     if isinstance(obj, dict) and "entries" in obj:
-        x = _load_matrix(obj)
+        x = mc.matrix_from_json_dict(obj)
     else:
         d = _detect_params(obj)
         if not isinstance(d, rp.Decomposition):
@@ -179,7 +175,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    x = _load_matrix(_read_json(args.infile))
+    x = mc.matrix_from_json_dict(_read_json(args.infile))
     lat = inv.panel_lattice(x)
     payload = {
         "n": lat.n,
@@ -199,7 +195,7 @@ def _cmd_panel(args) -> int:
 
 
 def _cmd_zerotexture(args) -> int:
-    x = _load_matrix(_read_json(args.infile))
+    x = mc.matrix_from_json_dict(_read_json(args.infile))
     rep = inv.zero_texture_analysis(x, tol=args.tol)
     payload = {
         "J": rep.J,
@@ -334,7 +330,7 @@ def _verify_checks(x: np.ndarray, tol: float, seed: int) -> list:
 
 
 def _cmd_verify(args) -> int:
-    x = _load_matrix(_read_json(args.infile))
+    x = mc.matrix_from_json_dict(_read_json(args.infile))
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)
     max_residual = max(c["residual"] for c in checks)
     ok = all(c["ok"] for c in checks)

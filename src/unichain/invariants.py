@@ -332,11 +332,25 @@ _RELATION_DENOMS = (
     ((2, 3), (3, 3)),
 )
 
+# The unknowns of the relations: the panels outside the basis J11, J22, J33.
+_DEPENDENT_PANELS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
-def _relation_coefficients(x: np.ndarray, zero_tol: float):
+
+def _relation_system(x, zero_tol: float) -> tuple:
+    """The six panel relations of a 4-by-4 unitary as a linear system.
+
+    Returns (A, b, J_direct): the relations read A @ u = b in the unknowns
+    u = (J12, J13, J21, J23, J31, J32), 1-based panel labels, whose
+    directly computed values are J_direct.  Every matrix element appearing
+    in a denominator must be nonzero beyond *zero_tol*.
+    """
+    n = require_square(x)
+    if n != 4:
+        raise DomainError(f"the six panel relations are specific to n=4, got n={n}")
+    x = np.asarray(x, dtype=np.complex128)
     lat = panel_lattice(x)
     J, R = lat.J, lat.R
-    ms = []
+    m = []
     for (r1, c1), (r2, c2) in _RELATION_DENOMS:
         for (r, c) in ((r1, c1), (r2, c2)):
             if abs(x[r - 1, c - 1]) <= zero_tol:
@@ -344,8 +358,17 @@ def _relation_coefficients(x: np.ndarray, zero_tol: float):
                     f"matrix element V[{r},{c}] has modulus {abs(x[r - 1, c - 1]):.3e} "
                     f"<= {zero_tol}; the panel relations divide by it"
                 )
-        ms.append(abs(x[r1 - 1, c1 - 1] * x[r2 - 1, c2 - 1]) ** 2)
-    return J, R, ms
+        m.append(abs(x[r1 - 1, c1 - 1] * x[r2 - 1, c2 - 1]) ** 2)
+    a = np.zeros((6, 6))
+    b = np.zeros(6)
+    a[0, 1], a[0, 0], b[0] = 1.0, -(1 + R[0, 0] / m[0]), (R[0, 1] / m[0]) * J[0, 0]
+    a[1, 1], a[1, 3], b[1] = 1.0, -(1 + R[2, 2] / m[1]), (R[1, 2] / m[1]) * J[2, 2]
+    a[2, 4], a[2, 2], b[2] = 1.0, -(1 + R[0, 0] / m[2]), (R[1, 0] / m[2]) * J[0, 0]
+    a[3, 4], a[3, 5], b[3] = 1.0, -(1 + R[2, 2] / m[3]), (R[2, 1] / m[3]) * J[2, 2]
+    a[4, 0], a[4, 5], b[4] = 1.0, -(R[1, 1] / m[4]), (1 + R[2, 1] / m[4]) * J[1, 1]
+    a[5, 2], a[5, 3], b[5] = 1.0, -(R[1, 1] / m[5]), (1 + R[1, 2] / m[5]) * J[1, 1]
+    j_direct = np.array([J[p - 1, q - 1] for p, q in _DEPENDENT_PANELS])
+    return a, b, j_direct
 
 
 def panel_relation_residuals(x, zero_tol: float = 1e-9) -> np.ndarray:
@@ -355,22 +378,8 @@ def panel_relation_residuals(x, zero_tol: float = 1e-9) -> np.ndarray:
     every matrix element appearing in a denominator to be nonzero beyond
     *zero_tol*.
     """
-    n = require_square(x)
-    if n != 4:
-        raise DomainError(f"the six panel relations are specific to n=4, got n={n}")
-    x = np.asarray(x, dtype=np.complex128)
-    J, R, m = _relation_coefficients(x, zero_tol)
-    res = np.array(
-        [
-            J[0, 2] - (1 + R[0, 0] / m[0]) * J[0, 1] - (R[0, 1] / m[0]) * J[0, 0],
-            J[0, 2] - (1 + R[2, 2] / m[1]) * J[1, 2] - (R[1, 2] / m[1]) * J[2, 2],
-            J[2, 0] - (1 + R[0, 0] / m[2]) * J[1, 0] - (R[1, 0] / m[2]) * J[0, 0],
-            J[2, 0] - (1 + R[2, 2] / m[3]) * J[2, 1] - (R[2, 1] / m[3]) * J[2, 2],
-            J[0, 1] - (R[1, 1] / m[4]) * J[2, 1] - (1 + R[2, 1] / m[4]) * J[1, 1],
-            J[1, 0] - (R[1, 1] / m[5]) * J[1, 2] - (1 + R[1, 2] / m[5]) * J[1, 1],
-        ]
-    )
-    return res
+    a, b, j_direct = _relation_system(x, zero_tol)
+    return a @ j_direct - b
 
 
 def basis_solve_n4(x, zero_tol: float = 1e-9, cond_limit: float = 1e12) -> dict:
@@ -383,32 +392,16 @@ def basis_solve_n4(x, zero_tol: float = 1e-9, cond_limit: float = 1e12) -> dict:
     system; a near-singular system (degenerate moduli) is reported as
     unsolvable together with the directly computed panel values.
     """
-    n = require_square(x)
-    if n != 4:
-        raise DomainError(f"the panel basis solve is specific to n=4, got n={n}")
-    x = np.asarray(x, dtype=np.complex128)
-    J, R, m = _relation_coefficients(x, zero_tol)
-    # Unknowns u = (J12, J13, J21, J23, J31, J32), 1-based panel labels.
-    a = np.zeros((6, 6))
-    b = np.zeros(6)
-    a[0, 1], a[0, 0], b[0] = 1.0, -(1 + R[0, 0] / m[0]), (R[0, 1] / m[0]) * J[0, 0]
-    a[1, 1], a[1, 3], b[1] = 1.0, -(1 + R[2, 2] / m[1]), (R[1, 2] / m[1]) * J[2, 2]
-    a[2, 4], a[2, 2], b[2] = 1.0, -(1 + R[0, 0] / m[2]), (R[1, 0] / m[2]) * J[0, 0]
-    a[3, 4], a[3, 5], b[3] = 1.0, -(1 + R[2, 2] / m[3]), (R[2, 1] / m[3]) * J[2, 2]
-    a[4, 0], a[4, 5], b[4] = 1.0, -(R[1, 1] / m[4]), (1 + R[2, 1] / m[4]) * J[1, 1]
-    a[5, 2], a[5, 3], b[5] = 1.0, -(R[1, 1] / m[5]), (1 + R[1, 2] / m[5]) * J[1, 1]
+    a, b, j_direct = _relation_system(x, zero_tol)
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > cond_limit:
-        direct = {key: float(J[key[0] - 1, key[1] - 1]) for key in _DEPENDENT_PANELS}
+        direct = dict(zip(_DEPENDENT_PANELS, (float(v) for v in j_direct)))
         raise PreconditionError(
             f"panel relation system is singular (cond={cond:.3e}); "
             f"directly computed panels: {direct}"
         )
     u = np.linalg.solve(a, b)
     return dict(zip(_DEPENDENT_PANELS, (float(v) for v in u)))
-
-
-_DEPENDENT_PANELS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
 
 # --- closed forms from the chain parameters ---------------------------------

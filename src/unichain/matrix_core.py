@@ -1,10 +1,11 @@
 """Complex dense matrix utilities.
 
-Products, adjoints, unitarity checks, diagonal phase matrices and
-Haar-distributed random unitaries.  Every matrix in this package is a
-dense ``numpy.ndarray`` of dtype ``complex128``; matrix comparisons use
-the max-norm (largest absolute entry), which is easy to reason about
-entry by entry at the small sizes this library targets.
+Unitarity checks, diagonal phase matrices, Haar-distributed random
+unitaries and the ``[re, im]`` JSON codec for complex numbers.  Every
+matrix in this package is a dense ``numpy.ndarray`` of dtype
+``complex128``; matrix comparisons use the max-norm (largest absolute
+entry), which is easy to reason about entry by entry at the small sizes
+this library targets.
 
 Tolerances are explicit parameters everywhere, with module-wide defaults
 ``DEFAULT_UNITARITY_TOL`` (1e-10) and ``DEFAULT_EQUALITY_TOL`` (1e-12).
@@ -76,21 +77,6 @@ def max_abs_diff(a, b) -> float:
     return maxnorm(a - b)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def unitarity_defect(a) -> float:
     """max(||a a^H - I||, ||a^H a - I||) in max-norm; input must be square."""
     n = require_square(a)
@@ -154,16 +140,39 @@ def haar_random(n: int, seed: int) -> np.ndarray:
 
 # --- JSON interchange -------------------------------------------------------
 #
-# Matrix files are {"n": int, "entries": [[re, im], ...]} with entries in
-# row-major order.  Parsers reject wrong lengths and non-finite numbers.
+# A complex number is the pair [re, im].  Matrix files are
+# {"n": int, "entries": [[re, im], ...]} with entries in row-major order.
+# Parsers reject wrong lengths, non-pairs and non-finite numbers.
+
+
+def complex_to_pairs(values) -> list:
+    """Serialise complex numbers to a list of [re, im] float pairs."""
+    z = np.asarray(values, dtype=np.complex128).ravel()
+    return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
+def complex_from_pairs(pairs, what: str = "entry") -> np.ndarray:
+    """Parse a list of [re, im] pairs; *what* names an item in errors."""
+    if not isinstance(pairs, list):
+        raise StructureError(f"expected a list of [re, im] pairs, got {type(pairs).__name__}")
+    out = np.empty(len(pairs), dtype=np.complex128)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise StructureError(f"{what} {i} is not a [re, im] pair")
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"{what} {i} is not a pair of numbers: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise DomainError(f"{what} {i} is not finite: [{pair[0]}, {pair[1]}]")
+        out[i] = complex(re, im)
+    return out
 
 
 def matrix_to_json_dict(a) -> dict:
     """Serialise a square matrix to its JSON document (plain dict)."""
     n = require_square(a)
-    a = np.asarray(a, dtype=np.complex128)
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
-    return {"n": n, "entries": entries}
+    return {"n": n, "entries": complex_to_pairs(a)}
 
 
 def matrix_from_json_dict(obj) -> np.ndarray:
@@ -180,12 +189,4 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != n * n:
         actual = len(entries) if isinstance(entries, list) else "non-list"
         raise StructureError(f"'entries' must hold {n * n} pairs, got {actual}")
-    flat = np.empty(n * n, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise StructureError(f"entry {i} is not a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise DomainError(f"entry {i} is not finite: [{pair[0]}, {pair[1]}]")
-        flat[i] = complex(re, im)
-    return flat.reshape(n, n)
+    return complex_from_pairs(entries).reshape(n, n)

@@ -18,7 +18,9 @@ exponential series terminates:  exp(i t G) = I + i sin t G - (1 - cos t) G^2.
 This module builds the factors, composes chains, inverts the construction
 (peeling an arbitrary unitary into canonical parameters), reorders factors
 (a lower-order factor tunnels through a higher-order one, rotating the
-latter's characteristic vector), and fixes the phase gauge.
+latter's characteristic vector), and fixes the phase gauge.  Every product
+with a factor goes through :func:`apply_factor`, which uses the rank-2
+form; :func:`block` and :func:`embed` are the dense reference forms.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from .matrix_core import (
     DEFAULT_UNITARITY_TOL,
     ConsistencyError,
     DomainError,
+    ShapeError,
     StructureError,
+    complex_from_pairs,
+    complex_to_pairs,
     is_unitary,
     maxnorm,
     phase_matrix,
@@ -49,19 +54,19 @@ DESCENDING = "descending"
 CUSTOM = "custom"
 
 
-def _as_char(a, k: int | None = None) -> np.ndarray:
-    """Validate a characteristic vector: 1-d, finite, unit norm."""
-    v = np.asarray(a, dtype=np.complex128).ravel()
+def _as_char(a, k: int | None = None, dtype=np.complex128) -> np.ndarray:
+    """Validate a characteristic vector of *dtype* entries: 1-d, finite, unit norm."""
+    v = np.asarray(a, dtype=dtype).ravel()
     if v.size < 1:
         raise DomainError("characteristic vector must have length >= 1")
     if k is not None and v.size != k - 1:
         raise DomainError(
             f"characteristic vector for order {k} must have length {k - 1}, got {v.size}"
         )
-    if not np.all(np.isfinite(v)):
-        raise DomainError("characteristic vector contains non-finite entries")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > CHAR_NORM_TOL:
+    if not abs(norm - 1.0) <= CHAR_NORM_TOL:  # also catches nan and inf entries
+        if not np.all(np.isfinite(v)):
+            raise DomainError("characteristic vector contains non-finite entries")
         raise DomainError(f"characteristic vector norm {norm!r} is not 1 within {CHAR_NORM_TOL}")
     return v
 
@@ -137,6 +142,32 @@ def block(theta: float, a) -> np.ndarray:
     return out
 
 
+def apply_factor(theta: float, a, m) -> np.ndarray:
+    """``block(theta, a)`` applied to the first k = len(a) + 1 rows of *m*.
+
+    *m* is a vector or a matrix with at least k rows and is not modified;
+    rows from k on are copied unchanged.  The block is never formed: with
+    the projection p = <a| m[:k-1] the top rows gain |a> ((cos - 1) p +
+    sin m[k-1]) and row k becomes cos m[k-1] - sin p, O(k * columns).
+
+    The other products follow from two identities: the adjoint of
+    ``block(theta, a)`` is ``block(-theta, a)``, and its transpose is
+    ``block(-theta, a.conj())``, so ``m @ block(theta, a)`` is
+    ``apply_factor(-theta, a.conj(), m.T).T``.
+    """
+    a = _as_char(a)
+    k = a.size + 1
+    out = np.array(m, dtype=np.complex128)
+    if out.ndim not in (1, 2) or out.shape[0] < k:
+        raise ShapeError(f"expected a vector or matrix with >= {k} rows, got shape {out.shape}")
+    rows = out.reshape(out.shape[0], -1)
+    c, s = math.cos(theta), math.sin(theta)
+    p = a.conj() @ rows[: k - 1]
+    rows[: k - 1] += a[:, None] * ((c - 1.0) * p + s * rows[k - 1])
+    rows[k - 1] = c * rows[k - 1] - s * p
+    return out
+
+
 def embed(f: Factor) -> np.ndarray:
     """Embed a factor's block in the ambient dimension: diag(block, I)."""
     m = np.eye(f.ambient_n, dtype=np.complex128)
@@ -195,7 +226,8 @@ class Decomposition:
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
         ks = [f.order_k for f in factors]
-        if sorted(ks) != list(range(2, n + 1)):
+        # Compare the count first: n comes from outside and may be huge.
+        if len(ks) != n - 1 or sorted(ks) != list(range(2, n + 1)):
             raise StructureError(
                 f"chain must hold exactly one factor per order 2..{n}, got orders {ks}"
             )
@@ -247,11 +279,14 @@ class Decomposition:
 
 
 def compose(d: Decomposition) -> np.ndarray:
-    """Multiply out Phi(left) . embed(f_1) ... embed(f_m) . Phi(right)."""
-    v = phase_matrix(d.left_phases)
-    for f in d.factors:
-        v = v @ embed(f)
-    return v @ phase_matrix(d.right_phases)
+    """Multiply out Phi(left) . embed(f_1) ... embed(f_m) . Phi(right).
+
+    The factors are applied right to left onto Phi(right), O(n^3) in all.
+    """
+    v = phase_matrix(d.right_phases)
+    for f in reversed(d.factors):
+        v = apply_factor(f.theta, f.char, v)
+    return np.exp(1j * d.left_phases)[:, None] * v
 
 
 def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
@@ -290,7 +325,7 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
         else:
             u = np.zeros(k - 1, dtype=np.complex128)
             u[k - 2] = 1.0
-        m = block(theta, u).conj().T @ m
+        m = apply_factor(-theta, u, m)
         phase = np.exp(1j * beta)
         residual = max(
             maxnorm(m[k - 1, : k - 1]),
@@ -303,7 +338,7 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
             )
         factors.append(Factor(n, k, theta, u))
         betas[k - 1] = beta
-        m = m[: k - 1, : k - 1].copy()
+        m = m[: k - 1, : k - 1]
     betas[0] = float(np.angle(m[0, 0]))
     return Decomposition(
         ambient_n=n,
@@ -328,16 +363,10 @@ def reorder_swap(left: Factor, right: Factor) -> tuple:
     if r == s:
         raise DomainError(f"cannot swap two factors of equal order {r}")
     if r < s:
-        rot = np.eye(s - 1, dtype=np.complex128)
-        rot[:r, :r] = block(left.theta, left.char)
-        new_char = rot @ right.char
-        new_char = new_char / np.linalg.norm(new_char)
-        return right.with_char(new_char), left
-    rot = np.eye(r - 1, dtype=np.complex128)
-    rot[:s, :s] = block(right.theta, right.char)
-    new_char = rot.conj().T @ left.char
-    new_char = new_char / np.linalg.norm(new_char)
-    return right, left.with_char(new_char)
+        new_char = apply_factor(left.theta, left.char, right.char)
+        return right.with_char(new_char / np.linalg.norm(new_char)), left
+    new_char = apply_factor(-right.theta, right.char, left.char)
+    return right, left.with_char(new_char / np.linalg.norm(new_char))
 
 
 def reorder_chain(d: Decomposition, target) -> Decomposition:
@@ -427,7 +456,7 @@ def decomposition_to_json_dict(d: Decomposition) -> dict:
             {
                 "k": f.order_k,
                 "theta": float(f.theta),
-                "char": [[float(z.real), float(z.imag)] for z in f.char],
+                "char": complex_to_pairs(f.char),
             }
             for f in d.factors
         ],
@@ -454,10 +483,11 @@ def decomposition_from_json_dict(obj) -> Decomposition:
         try:
             k = int(rf["k"])
             theta = float(rf["theta"])
-            char = [complex(float(p[0]), float(p[1])) for p in rf["char"]]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raw_char = rf["char"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"factor {i} missing/invalid field: {exc}") from exc
-        factors.append(Factor(n, k, theta, np.array(char)))
+        char = complex_from_pairs(raw_char, f"factor {i} char entry")
+        factors.append(Factor(n, k, theta, char))
     return Decomposition(
         ambient_n=n,
         factors=tuple(factors),

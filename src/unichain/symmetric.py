@@ -24,25 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DomainError, StructureError
-from .recursive_param import block
-
-_REAL_NORM_TOL = 1e-12
-
-
-def _as_real_unit(xs, k: int | None = None) -> np.ndarray:
-    v = np.asarray(xs, dtype=float).ravel()
-    if v.size < 1:
-        raise DomainError("characteristic vector must have length >= 1")
-    if k is not None and v.size != k - 1:
-        raise DomainError(
-            f"characteristic vector for order {k} must have length {k - 1}, got {v.size}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise DomainError("characteristic vector contains non-finite entries")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _REAL_NORM_TOL:
-        raise DomainError(f"characteristic vector norm {norm!r} is not 1 within {_REAL_NORM_TOL}")
-    return v
+from .recursive_param import Factor, _as_char, apply_factor, embed
 
 
 def sym_param_count(n: int) -> int:
@@ -85,7 +67,7 @@ class SymmetricParams:
             )
         validated = []
         for i, xs in enumerate(chars):
-            v = _as_real_unit(xs, k=i + 2)
+            v = _as_char(xs, i + 2, float)
             v.setflags(write=False)
             validated.append(v)
         object.__setattr__(self, "thetas", thetas)
@@ -100,28 +82,23 @@ class SymmetricParams:
 
 def sym_factor(k: int, theta: float, xs, n: int) -> np.ndarray:
     """Embedded symmetric factor of order k: char = i * xs, xs real unit."""
-    if not (2 <= k <= n):
-        raise DomainError(f"factor order must satisfy 2 <= k <= n, got k={k}, n={n}")
-    xs = _as_real_unit(xs, k=k)
-    m = np.eye(n, dtype=np.complex128)
-    m[:k, :k] = block(theta, 1j * xs)
-    return m
+    return embed(Factor(n, k, theta, 1j * _as_char(xs, k, float)))
 
 
 def compose_symmetric(p: SymmetricParams) -> np.ndarray:
     """Multiply out the palindrome A_2 ... A_n ... A_2.
 
     Inner factors use theta_k / 2 under the half-angle convention (they
-    appear twice); the order-n factor always uses theta_n.
+    appear twice); the order-n factor always uses theta_n.  The palindrome
+    reads the same both ways, so left-multiplying its factors in sequence
+    onto the identity gives the product.
     """
     n = p.n
     scale = 0.5 if p.half_angle else 1.0
     v = np.eye(n, dtype=np.complex128)
-    for k in range(2, n):
-        v = v @ sym_factor(k, scale * p.theta(k), p.char(k), n)
-    v = v @ sym_factor(n, p.theta(n), p.char(n), n)
-    for k in range(n - 1, 1, -1):
-        v = v @ sym_factor(k, scale * p.theta(k), p.char(k), n)
+    for k in (*range(2, n + 1), *range(n - 1, 1, -1)):
+        theta = p.theta(k) if k == n else scale * p.theta(k)
+        v = apply_factor(theta, 1j * p.char(k), v)
     return v
 
 
@@ -132,7 +109,7 @@ def v3sym_closed(theta2: float, theta3: float, xs) -> np.ndarray:
     i sin(t2/2) x1 (unit vector u), the product collapses to a single
     displayed matrix in u.
     """
-    xs = _as_real_unit(xs, k=3)
+    xs = _as_char(xs, 3, float)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
     cp, sp = math.cos(theta2 / 2), math.sin(theta2 / 2)
@@ -155,7 +132,7 @@ def a4prime(theta2: float, theta4: float, ys) -> np.ndarray:
     v1 = cos(t2/2) y1 - i sin(t2/2) y2, v2 = cos(t2/2) y2 - i sin(t2/2) y1
     while v3 = y3 is untouched; v keeps unit norm.
     """
-    ys = _as_real_unit(ys, k=4)
+    ys = _as_char(ys, 4, float)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c4, s4 = math.cos(theta4), math.sin(theta4)
     cp, sp = math.cos(theta2 / 2), math.sin(theta2 / 2)
@@ -176,7 +153,7 @@ def a4prime(theta2: float, theta4: float, ys) -> np.ndarray:
 
 def j_sym_n3(theta2: float, theta3: float, xs) -> float:
     """Invariant phase of the symmetric 3-by-3: c2 c3 s2 s3^2 x1 x2."""
-    xs = _as_real_unit(xs, k=3)
+    xs = _as_char(xs, 3, float)
     return float(
         math.cos(theta2)
         * math.cos(theta3)

@@ -1,10 +1,29 @@
 """Shared construction helpers for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import unichain
 from unichain.recursive_param import ASCENDING, Decomposition, Factor
+
+
+def run_cli(args, stdin=None, **kwargs):
+    """Run ``python -m unichain`` from the package the tests import."""
+    src = str(Path(unichain.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "unichain", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
 
 
 def random_char(rng, length):

@@ -6,8 +6,6 @@ criteria execute; every tolerance is pinned in the test body.
 
 import json
 import math
-import subprocess
-import sys
 from itertools import permutations
 
 import numpy as np
@@ -16,6 +14,7 @@ from helpers import (
     pinned_chain_n4,
     random_ascending_chain,
     random_char,
+    run_cli,
     texture_matrix,
 )
 from unichain.matrix_core import (
@@ -353,28 +352,19 @@ def test_criterion_10_symmetric_construction():
     )
 
 
-def _cli(args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "unichain", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_criterion_11_cli():
-    gen = _cli(["gen", "--n", "4", "--seed", "7"])
-    dec = _cli(["decompose"], stdin=gen.stdout)
-    comp = _cli(["compose"], stdin=dec.stdout)
+    gen = run_cli(["gen", "--n", "4", "--seed", "7"])
+    dec = run_cli(["decompose"], stdin=gen.stdout)
+    comp = run_cli(["compose"], stdin=dec.stdout)
     pipeline_ok = gen.returncode == dec.returncode == comp.returncode == 0
     a = matrix_from_json_dict(json.loads(gen.stdout))
     b = matrix_from_json_dict(json.loads(comp.stdout))
     worst = max_abs_diff(a, b)
 
-    verify_good = _cli(["verify"], stdin=gen.stdout)
+    verify_good = run_cli(["verify"], stdin=gen.stdout)
     x = a.copy()
     x[0, 0] += 1e-3
-    verify_bad = _cli(["verify"], stdin=json.dumps(matrix_to_json_dict(x)))
+    verify_bad = run_cli(["verify"], stdin=json.dumps(matrix_to_json_dict(x)))
     exits_ok = verify_good.returncode == 0 and verify_bad.returncode == 2
     report(
         11,

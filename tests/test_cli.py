@@ -1,25 +1,15 @@
 import json
-import subprocess
-import sys
+import resource
 
 import numpy as np
 
-from helpers import texture_matrix
+from helpers import run_cli, texture_matrix
 from unichain.cli import main
 from unichain.matrix_core import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
 )
-
-
-def run_cli(args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "unichain", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
 
 
 def write_matrix(tmp_path, name, x):
@@ -253,3 +243,31 @@ class TestDirectMain:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["ok"] is True
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestOversizedInput:
+    def test_huge_n_rejected_before_allocating(self, tmp_path, monkeypatch):
+        # A chain of order 10**9 would need 10**9 - 1 factors; the count is
+        # checked against the document before anything of size n is built.
+        # One BLAS thread keeps numpy's own start-up well inside the limit.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        doc = {
+            "n": 10**9,
+            "order": "ascending",
+            "factors": [{"k": 2, "theta": 0.0, "char": [[1.0, 0.0]]}],
+            "alpha": [0.0],
+            "beta": [0.0],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(
+            ["compose", "--in", str(path)], timeout=10, preexec_fn=_limit_address_space
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "one factor per order" in proc.stderr

@@ -9,10 +9,8 @@ from unichain.matrix_core import (
     DomainError,
     ShapeError,
     StructureError,
-    dagger,
     haar_random,
     is_unitary,
-    matmul,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
@@ -24,62 +22,6 @@ from unichain.matrix_core import (
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        x = random_complex(rng, (3, 3))
-        assert max_abs_diff(matmul(np.eye(3), x), x) == 0.0
-
-    def test_diag_i_squared(self):
-        d = np.diag([1j, 1j])
-        assert max_abs_diff(matmul(d, d), np.diag([-1.0, -1.0])) == 0.0
-
-    def test_matches_triple_loop_oracle(self):
-        # Independent oracle: explicit sum-of-products accumulated in k-major
-        # loop order, no BLAS involvement.
-        rng = np.random.Generator(np.random.PCG64(1))
-        a = random_complex(rng, (4, 4))
-        b = random_complex(rng, (4, 4))
-        expected = np.zeros((4, 4), dtype=complex)
-        for k in range(4):
-            for i in range(4):
-                for j in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert max_abs_diff(matmul(a, b), expected) < 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.eye(3), np.eye(4))
-
-    def test_associative(self):
-        rng = np.random.Generator(np.random.PCG64(2))
-        for _ in range(20):
-            a, b, c = (random_complex(rng, (5, 5)) for _ in range(3))
-            assert max_abs_diff(matmul(matmul(a, b), c), matmul(a, matmul(b, c))) < 1e-12
-
-
-class TestDagger:
-    def test_identity(self):
-        assert max_abs_diff(dagger(np.eye(4)), np.eye(4)) == 0.0
-
-    def test_hermitian_fixed_point(self):
-        h = np.array([[0, 1j], [-1j, 0]])
-        assert max_abs_diff(dagger(h), h) == 0.0
-
-    def test_involution(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        x = random_complex(rng, (4, 6))
-        assert max_abs_diff(dagger(dagger(x)), x) == 0.0
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_antihomomorphism(self, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        a = random_complex(rng, (3, 3))
-        b = random_complex(rng, (3, 3))
-        assert max_abs_diff(dagger(matmul(a, b)), matmul(dagger(b), dagger(a))) < 1e-13
 
 
 class TestIsUnitary:

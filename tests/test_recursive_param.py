@@ -5,6 +5,7 @@ import pytest
 
 from unichain.matrix_core import (
     DomainError,
+    ShapeError,
     StructureError,
     haar_random,
     is_unitary,
@@ -20,6 +21,7 @@ from unichain.recursive_param import (
     Decomposition,
     Factor,
     Generator,
+    apply_factor,
     block,
     compose,
     decompose,
@@ -163,6 +165,33 @@ class TestEmbed:
             Factor(3, 4, 0.1, [1, 0, 0] / np.linalg.norm([1, 0, 0]))
 
 
+class TestApplyFactor:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("theta", [0.0, 1e-12, 0.7, math.pi / 2, 2.5])
+    @pytest.mark.parametrize("shape", ["vector", "matrix"])
+    def test_matches_dense_embed(self, n, theta, shape):
+        rng = np.random.Generator(np.random.PCG64(n))
+        cols = (n,) if shape == "vector" else (n, n + 1)
+        m = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+        for k in range(2, n + 1):
+            f = Factor(n, k, theta, random_char(rng, k - 1))
+            out = apply_factor(theta, f.char, m)
+            assert out.shape == m.shape
+            assert max_abs_diff(out, embed(f) @ m) <= 1e-14
+            assert max_abs_diff(apply_factor(-theta, f.char, out), m) <= 1e-14
+
+    def test_transpose_identity(self):
+        rng = np.random.Generator(np.random.PCG64(30))
+        f = random_factor(rng, 4, 3)
+        m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        right = apply_factor(-f.theta, f.char.conj(), m.T).T
+        assert max_abs_diff(right, m @ embed(f)) <= 1e-14
+
+    def test_rejects_too_few_rows(self):
+        with pytest.raises(ShapeError):
+            apply_factor(0.3, [0.6, 0.8], np.eye(2))
+
+
 class TestGenerator:
     def test_pauli_form(self):
         g = generator(Factor(2, 2, 0.5, [1.0]))
@@ -264,7 +293,7 @@ class TestCompose:
         for f in d.factors:
             expected = expected @ embed(f)
         expected = expected @ phase_matrix(d.right_phases)
-        assert max_abs_diff(compose(d), expected) == 0.0
+        assert max_abs_diff(compose(d), expected) < 1e-15
 
     def test_duplicate_order_rejected(self):
         rng = np.random.Generator(np.random.PCG64(16))
@@ -501,4 +530,25 @@ class TestDecompositionJson:
             "beta": [0.0, 0.0],
         }
         with pytest.raises(StructureError):
+            decomposition_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "char, error",
+        [
+            ([[1.0, 0.0, 0.0]], StructureError),
+            ([1.0], StructureError),
+            ([["a", 0.0]], StructureError),
+            ([[float("nan"), 0.0]], DomainError),
+            ([[float("inf"), 0.0]], DomainError),
+        ],
+    )
+    def test_rejects_bad_char_pairs(self, char, error):
+        doc = {
+            "n": 2,
+            "order": "ascending",
+            "factors": [{"k": 2, "theta": 0.3, "char": char}],
+            "alpha": [0.0, 0.0],
+            "beta": [0.0, 0.0],
+        }
+        with pytest.raises(error):
             decomposition_from_json_dict(doc)

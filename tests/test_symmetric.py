@@ -111,7 +111,7 @@ class TestComposeSymmetric:
             @ sym_factor(3, t3, xs, 3)
             @ sym_factor(2, t2, [1.0], 3)
         )
-        assert max_abs_diff(compose_symmetric(p), direct) == 0.0
+        assert max_abs_diff(compose_symmetric(p), direct) < 1e-15
 
     def test_n4_palindrome_identity(self):
         # A2 A3 A4 A3 A2 = V3sym(t3/2-core) . A'4 . V3sym(t3/2-core)
