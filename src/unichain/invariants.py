@@ -57,12 +57,22 @@ def _check_pair(pair, n: int, what: str) -> tuple:
     return a, b
 
 
-def _raw_plaquette(x: np.ndarray, rows, cols) -> complex:
-    a, b = rows
-    j, k = cols
-    return complex(
-        x[a - 1, j - 1] * x[b - 1, k - 1] * np.conj(x[a - 1, k - 1]) * np.conj(x[b - 1, j - 1])
-    )
+def _mul(ar, ai, br, bi) -> tuple:
+    """(re, im) of (ar + i ai)(br + i bi), in numpy's scalar order of operations."""
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
+
+
+def _quartet(aj, bk, ak, bj) -> tuple:
+    """(re, im) of ((aj bk) conj(ak)) conj(bj) for complex scalars or arrays, bit
+    for bit the scalar product of each entry (numpy's vectorised complex
+    multiply may fuse multiply-adds, so it is not used)."""
+    pr, pi = _mul(aj.real, aj.imag, bk.real, bk.imag)
+    qr, qi = _mul(pr, pi, ak.real, -ak.imag)
+    return _mul(qr, qi, bj.real, -bj.imag)
 
 
 @dataclass(frozen=True)
@@ -100,34 +110,40 @@ def plaquette(x, rows, cols) -> Plaquette:
     """The invariant for row pair *rows* and column pair *cols* of *x*."""
     n = require_square(x)
     x = np.asarray(x, dtype=np.complex128)
-    a, b = _check_pair(rows, n, "row")
-    j, k = _check_pair(cols, n, "column")
-    value = _raw_plaquette(x, (a, b), (j, k))
-    if a > b:
-        a, b = b, a
-        value = value.conjugate()
-    if j > k:
-        j, k = k, j
-        value = value.conjugate()
-    return Plaquette(rows=(a, b), cols=(j, k), value=value)
+    (a, b), (j, k) = _check_pair(rows, n, "row"), _check_pair(cols, n, "column")
+    value = complex(*_quartet(x[a - 1, j - 1], x[b - 1, k - 1], x[a - 1, k - 1], x[b - 1, j - 1]))
+    p = Plaquette(tuple(sorted((a, b))), tuple(sorted((j, k))), value)
+    return Plaquette(p.rows, p.cols, p.oriented((a, b), (j, k)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaquetteTable:
-    """All [n(n-1)/2]^2 canonical plaquettes of one matrix."""
+    """All [n(n-1)/2]^2 canonical plaquettes of one matrix.
+
+    ``values`` is a read-only m-by-m complex array, m = n(n-1)/2, indexed by
+    row pair and column pair in ``combinations`` order; ``values.ravel()``
+    follows :meth:`keys`.
+    """
 
     n: int
-    values: dict
+    values: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.size
 
-    def keys(self):
-        return self.values.keys()
+    def keys(self) -> list:
+        pairs = list(combinations(range(1, self.n + 1), 2))
+        return [(rows, cols) for rows in pairs for cols in pairs]
+
+    def _pair(self, pair, what: str) -> tuple:
+        """The sorted pair and its position in ``combinations`` order."""
+        a, b = sorted(_check_pair(pair, self.n, what))
+        return (a, b), (a - 1) * (2 * self.n - a) // 2 + b - a - 1
 
     def get(self, rows, cols) -> Plaquette:
-        key = (tuple(sorted(rows)), tuple(sorted(cols)))
-        return self.values[key]
+        rows, r = self._pair(rows, "row")
+        cols, c = self._pair(cols, "column")
+        return Plaquette(rows, cols, complex(self.values[r, c]))
 
     def value(self, rows, cols) -> complex:
         """Complex value in the requested (possibly non-canonical) orientation."""
@@ -140,11 +156,11 @@ class PlaquetteTable:
         return self.value(rows, cols).real
 
     def max_abs_diff(self, other: "PlaquetteTable") -> float:
+        """Largest entrywise |difference| (``hypot``, as ``abs`` of a complex); 0.0 for n < 2."""
         if other.n != self.n:
             raise DomainError("tables belong to different matrix orders")
-        return max(
-            abs(p.value - other.values[key].value) for key, p in self.values.items()
-        )
+        diff = self.values - other.values
+        return float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
 
 
 def plaquette_table(x, tol: float = DEFAULT_UNITARITY_TOL) -> PlaquetteTable:
@@ -152,10 +168,15 @@ def plaquette_table(x, tol: float = DEFAULT_UNITARITY_TOL) -> PlaquetteTable:
     x = np.asarray(x, dtype=np.complex128)
     if not is_unitary(x, tol):
         raise DomainError(f"input is not unitary within {tol}")
-    values = {}
-    for rows in combinations(range(1, n + 1), 2):
-        for cols in combinations(range(1, n + 1), 2):
-            values[(rows, cols)] = Plaquette(rows, cols, _raw_plaquette(x, rows, cols))
+    j, k = np.triu_indices(n, 1)
+    xj, xk = x[:, j], x[:, k]
+    values = np.empty((j.size, j.size), dtype=np.complex128)
+    # One block of row pairs (a, b > a) at a time keeps temporaries small.
+    for a in range(n - 1):
+        start = a * (2 * n - a - 1) // 2
+        rows = slice(start, start + n - 1 - a)
+        values.real[rows], values.imag[rows] = _quartet(xj[a], xk[a + 1 :], xk[a], xj[a + 1 :])
+    values.setflags(write=False)
     return PlaquetteTable(n=n, values=values)
 
 
@@ -187,8 +208,8 @@ def reduce_sextet(x, rows, cols, tol: float = 1e-12) -> tuple:
         * x[c - 1, l - 1]
         * np.conj(x[a - 1, k - 1] * x[b - 1, l - 1] * x[c - 1, j - 1])
     ).imag
-    p1 = _raw_plaquette(x, (a, b), (j, k))
-    p2 = _raw_plaquette(x, (b, c), (j, l))
+    p1 = plaquette(x, (a, b), (j, k)).oriented((a, b), (j, k))
+    p2 = plaquette(x, (b, c), (j, l)).oriented((b, c), (j, l))
     rhs = (p1.imag * p2.real + p1.real * p2.imag) / pivot**2
     return float(lhs), float(rhs)
 
@@ -313,11 +334,7 @@ def panel_lattice(x, tol: float = DEFAULT_UNITARITY_TOL) -> PanelLattice:
     if not is_unitary(x, tol):
         raise DomainError(f"input is not unitary within {tol}")
     panels = np.empty((n - 1, n - 1), dtype=np.complex128)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            panels[a, b] = (
-                x[a, b] * x[a + 1, b + 1] * np.conj(x[a, b + 1]) * np.conj(x[a + 1, b])
-            )
+    panels.real, panels.imag = _quartet(x[:-1, :-1], x[1:, 1:], x[:-1, 1:], x[1:, :-1])
     panels.setflags(write=False)
     return PanelLattice(n=n, panels=panels)
 
@@ -424,13 +441,8 @@ def closed_form_j_n3(d: Decomposition) -> float:
     chars = _require_pinned_order2(d)
     t2, t3 = d.factor(2).theta, d.factor(3).theta
     x = chars[3]
-    return float(
-        math.cos(t2)
-        * math.cos(t3)
-        * math.sin(t2)
-        * math.sin(t3) ** 2
-        * (np.conj(x[0]) * x[1]).imag
-    )
+    scale = math.cos(t2) * math.cos(t3) * math.sin(t2) * math.sin(t3) ** 2
+    return float(scale * (np.conj(x[0]) * x[1]).imag)
 
 
 def closed_forms_n4(d: Decomposition) -> tuple:
@@ -462,16 +474,6 @@ def closed_forms_n4(d: Decomposition) -> tuple:
 # --- unitarity triangles -----------------------------------------------------
 
 
-def _polygon_area(sides: np.ndarray) -> float:
-    """Area of the closed polygon whose edges are the complex *sides*."""
-    vertices = np.concatenate([[0.0 + 0.0j], np.cumsum(sides)])
-    total = 0.0
-    for i in range(len(vertices) - 1):
-        total += (np.conj(vertices[i]) * vertices[i + 1]).imag
-    total += (np.conj(vertices[-1]) * vertices[0]).imag
-    return abs(0.5 * total)
-
-
 def triangle_areas(x, tol: float = DEFAULT_UNITARITY_TOL) -> list:
     """Areas of the row- and column-orthogonality polygons.
 
@@ -484,11 +486,19 @@ def triangle_areas(x, tol: float = DEFAULT_UNITARITY_TOL) -> list:
     x = np.asarray(x, dtype=np.complex128)
     if not is_unitary(x, tol):
         raise DomainError(f"input is not unitary within {tol}")
+    a, b = np.triu_indices(n, 1)
+    pairs = list(zip(a.tolist(), b.tolist()))
     out = []
-    for a, b in combinations(range(n), 2):
-        out.append((("rows", a + 1, b + 1), _polygon_area(x[a, :] * np.conj(x[b, :]))))
-    for j, k in combinations(range(n), 2):
-        out.append((("cols", j + 1, k + 1), _polygon_area(x[:, j] * np.conj(x[:, k]))))
+    # Columns are rows of a C-contiguous transpose, so both kinds of sides come
+    # from one complex product; vertices 0, s_1, s_1 + s_2, ... per polygon,
+    # shoelace terms Im(conj(v_i) v_i+1) summed in order along each polygon.
+    for kind, v in (("rows", x), ("cols", np.ascontiguousarray(x.T))):
+        vertices = np.zeros((len(pairs), n + 1), dtype=np.complex128)
+        np.cumsum(v[a] * np.conj(v[b]), axis=1, out=vertices[:, 1:])
+        vr, vi = vertices.real, vertices.imag
+        terms = vr[:, :-1] * vi[:, 1:] - vi[:, :-1] * vr[:, 1:]
+        areas = np.abs(0.5 * np.cumsum(terms, axis=1)[:, -1])
+        out += [((kind, i + 1, j + 1), area) for (i, j), area in zip(pairs, areas)]
     return out
 
 
@@ -597,19 +607,13 @@ def zero_texture_analysis(
     j_val = table.im((1, 2), (1, 2))
     jp_val = table.im((3, 4), (3, 4))
 
-    ims = {key: p.im for key, p in table.values.items()}
-    vanishing = sum(1 for v in ims.values() if abs(v) <= vanish_tol)
-    candidates = (
-        ("0", 0.0),
-        ("+J", j_val),
-        ("-J", -j_val),
-        ("+J'", jp_val),
-        ("-J'", -jp_val),
-        ("J+J'", j_val + jp_val),
-    )
-    sign_pattern = {
-        key: min(candidates, key=lambda c: abs(v - c[1]))[0] for key, v in ims.items()
-    }
+    ims = table.values.imag.ravel()
+    vanishing = np.count_nonzero(np.abs(ims) <= vanish_tol)
+    # Each entry takes the label of the nearest candidate, the first on ties.
+    labels = ("0", "+J", "-J", "+J'", "-J'", "J+J'")
+    targets = np.array([0.0, j_val, -j_val, jp_val, -jp_val, j_val + jp_val])
+    nearest = np.argmin(np.abs(ims[:, None] - targets), axis=1).tolist()
+    sign_pattern = {key: labels[i] for key, i in zip(table.keys(), nearest)}
 
     areas = dict(triangle_areas(std, tol=unitarity_tol))
     tri = tuple((label, areas[label]) for label in _TEXTURE_TRIANGLES)

@@ -155,7 +155,11 @@ def apply_factor(theta: float, a, m) -> np.ndarray:
     ``block(-theta, a.conj())``, so ``m @ block(theta, a)`` is
     ``apply_factor(-theta, a.conj(), m.T).T``.
     """
-    a = _as_char(a)
+    return _apply_block(theta, _as_char(a), m)
+
+
+def _apply_block(theta: float, a: np.ndarray, m) -> np.ndarray:
+    """:func:`apply_factor` for an already validated characteristic vector."""
     k = a.size + 1
     out = np.array(m, dtype=np.complex128)
     if out.ndim not in (1, 2) or out.shape[0] < k:
@@ -285,7 +289,7 @@ def compose(d: Decomposition) -> np.ndarray:
     """
     v = phase_matrix(d.right_phases)
     for f in reversed(d.factors):
-        v = apply_factor(f.theta, f.char, v)
+        v = _apply_block(f.theta, f.char, v)
     return np.exp(1j * d.left_phases)[:, None] * v
 
 
@@ -325,7 +329,8 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
         else:
             u = np.zeros(k - 1, dtype=np.complex128)
             u[k - 2] = 1.0
-        m = apply_factor(-theta, u, m)
+        factors.append(Factor(n, k, theta, u))
+        m = _apply_block(-theta, factors[-1].char, m)
         phase = np.exp(1j * beta)
         residual = max(
             maxnorm(m[k - 1, : k - 1]),
@@ -336,7 +341,6 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
             raise ConsistencyError(
                 f"factor extraction left residual {residual:.3e} at order {k}"
             )
-        factors.append(Factor(n, k, theta, u))
         betas[k - 1] = beta
         m = m[: k - 1, : k - 1]
     betas[0] = float(np.angle(m[0, 0]))
@@ -363,9 +367,9 @@ def reorder_swap(left: Factor, right: Factor) -> tuple:
     if r == s:
         raise DomainError(f"cannot swap two factors of equal order {r}")
     if r < s:
-        new_char = apply_factor(left.theta, left.char, right.char)
+        new_char = _apply_block(left.theta, left.char, right.char)
         return right.with_char(new_char / np.linalg.norm(new_char)), left
-    new_char = apply_factor(-right.theta, right.char, left.char)
+    new_char = _apply_block(-right.theta, right.char, left.char)
     return right, left.with_char(new_char / np.linalg.norm(new_char))
 
 

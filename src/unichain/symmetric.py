@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DomainError, StructureError
-from .recursive_param import Factor, _as_char, apply_factor, embed
+from .recursive_param import Factor, _apply_block, _as_char, embed
 
 
 def sym_param_count(n: int) -> int:
@@ -98,7 +98,7 @@ def compose_symmetric(p: SymmetricParams) -> np.ndarray:
     v = np.eye(n, dtype=np.complex128)
     for k in (*range(2, n + 1), *range(n - 1, 1, -1)):
         theta = p.theta(k) if k == n else scale * p.theta(k)
-        v = apply_factor(theta, 1j * p.char(k), v)
+        v = _apply_block(theta, 1j * p.char(k), v)
     return v
 
 

@@ -271,3 +271,82 @@ class TestOversizedInput:
         )
         assert proc.returncode == 1, proc.stderr
         assert "one factor per order" in proc.stderr
+
+
+class TestSmallOrders:
+    def test_verify_accepts_1x1(self):
+        gen = run_cli(["gen", "--n", "1", "--seed", "4"])
+        res = run_cli(["verify"], stdin=gen.stdout)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["ok"] is True
+        assert {c["name"] for c in report["checks"]} >= {"round_trip", "rephasing_invariance"}
+
+    def test_invariants_n1_and_n2(self):
+        gen = run_cli(["gen", "--n", "1", "--seed", "4"])
+        res = run_cli(["invariants"], stdin=gen.stdout)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"n": 1, "plaquettes": [], "triangle_areas": []}
+        gen = run_cli(["gen", "--n", "2", "--seed", "4"])
+        res = run_cli(["invariants"], stdin=gen.stdout)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert [(p["rows"], p["cols"]) for p in report["plaquettes"]] == [([1, 2], [1, 2])]
+        assert [a["pair"] for a in report["triangle_areas"]] == [["rows", 1, 2], ["cols", 1, 2]]
+
+
+class TestByteContract:
+    """Emitted invariants equal the library's scalar values exactly.
+
+    JSON floats round-trip, so comparing parsed output with ``==`` pins
+    every bit without storing platform-dependent hashes.
+    """
+
+    def test_invariants_rows_equal_scalar_plaquettes(self):
+        from itertools import combinations
+
+        from unichain.invariants import plaquette
+
+        for n, seed in ((3, 1), (5, 2), (8, 3)):
+            gen = run_cli(["gen", "--n", str(n), "--seed", str(seed)])
+            x = matrix_from_json_dict(json.loads(gen.stdout))
+            res = run_cli(["invariants"], stdin=gen.stdout)
+            assert res.returncode == 0, res.stderr
+            rows = json.loads(res.stdout)["plaquettes"]
+            pairs = [list(p) for p in combinations(range(1, n + 1), 2)]
+            assert [(r["rows"], r["cols"]) for r in rows] == [(a, b) for a in pairs for b in pairs]
+            for r in rows:
+                p = plaquette(x, r["rows"], r["cols"])
+                assert (r["re"], r["im"]) == (p.re, p.im)
+
+    def test_panel_equals_scalar_plaquettes(self):
+        from unichain.invariants import plaquette
+
+        gen = run_cli(["gen", "--n", "4", "--seed", "9"])
+        x = matrix_from_json_dict(json.loads(gen.stdout))
+        res = run_cli(["panel"], stdin=gen.stdout)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        for a in range(3):
+            for b in range(3):
+                p = plaquette(x, (a + 1, a + 2), (b + 1, b + 2))
+                assert report["panels_re"][a][b] == p.re
+                assert report["panels_im"][a][b] == p.im
+
+    def test_zerotexture_equals_scalar_plaquettes(self, tmp_path):
+        from unichain.invariants import plaquette, zero_texture_analysis
+
+        x = texture_matrix(np.random.default_rng(5))
+        res = run_cli(["zerotexture", "--in", write_matrix(tmp_path, "t.json", x)])
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        rmap = [i - 1 for i in report["row_map"]]
+        cmap = [i - 1 for i in report["col_map"]]
+        std = x[np.ix_(rmap, cmap)]
+        assert report["J"] == plaquette(std, (1, 2), (1, 2)).im
+        assert report["J_prime"] == plaquette(std, (3, 4), (3, 4)).im
+        expected = zero_texture_analysis(x).sign_pattern
+        assert [(tuple(e["rows"]), tuple(e["cols"])) for e in report["sign_pattern"]] == list(
+            expected
+        )
+        assert [e["label"] for e in report["sign_pattern"]] == list(expected.values())
