@@ -159,8 +159,18 @@ class PlaquetteTable:
         """Largest entrywise |difference| (``hypot``, as ``abs`` of a complex); 0.0 for n < 2."""
         if other.n != self.n:
             raise DomainError("tables belong to different matrix orders")
-        diff = self.values - other.values
-        return float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
+        peaks = []
+        for _, rows in _row_blocks(self.n):  # bounded temporaries, exact maximum
+            diff = self.values[rows] - other.values[rows]
+            peaks.append(np.max(np.hypot(diff.real, diff.imag)))
+        return float(np.max(peaks, initial=0.0))
+
+
+def _row_blocks(n: int):
+    """Each first row a with the slice of its row pairs (a, b > a), in ``combinations`` order."""
+    for a in range(n - 1):
+        start = a * (2 * n - a - 1) // 2
+        yield a, slice(start, start + n - 1 - a)
 
 
 def plaquette_table(x, tol: float = DEFAULT_UNITARITY_TOL) -> PlaquetteTable:
@@ -172,9 +182,7 @@ def plaquette_table(x, tol: float = DEFAULT_UNITARITY_TOL) -> PlaquetteTable:
     xj, xk = x[:, j], x[:, k]
     values = np.empty((j.size, j.size), dtype=np.complex128)
     # One block of row pairs (a, b > a) at a time keeps temporaries small.
-    for a in range(n - 1):
-        start = a * (2 * n - a - 1) // 2
-        rows = slice(start, start + n - 1 - a)
+    for a, rows in _row_blocks(n):
         values.real[rows], values.imag[rows] = _quartet(xj[a], xk[a + 1 :], xk[a], xj[a + 1 :])
     values.setflags(write=False)
     return PlaquetteTable(n=n, values=values)

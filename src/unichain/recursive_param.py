@@ -374,22 +374,62 @@ def reorder_swap(left: Factor, right: Factor) -> tuple:
 
 
 def reorder_chain(d: Decomposition, target) -> Decomposition:
-    """Rearrange a chain into the *target* order sequence via adjacent swaps.
+    """Rearrange a chain into the *target* order sequence.
 
     *target* must be a permutation of {2, ..., n}; the composed matrix is
-    unchanged and the multiset of angles is preserved exactly.
+    unchanged and the multiset of angles is preserved exactly.  Each wanted
+    factor f moves left along the adjacent-swap path of :func:`reorder_swap`,
+    the one-pair form of the rule, but run by run: each maximal run of
+    higher-order factors that f crosses is rotated by one kernel call with
+    f's inverse block, and each lower-order factor l that f crosses rotates
+    f's own vector by l's block.  The vectors are the zero-padded columns
+    of one array; each rotated factor is rebuilt once at the end, and a
+    factor that no crossing touched is passed through as the same object.
     """
     target = [int(k) for k in target]
     n = d.ambient_n
     if sorted(target) != list(range(2, n + 1)):
         raise DomainError(f"target {target} is not a permutation of 2..{n}")
-    seq = list(d.factors)
+    by_order = {f.order_k: f for f in d.factors}
+    # Column k - 2 holds the order-k vector; a block of order r touches only
+    # the first r rows, so the padding of every higher order stays zero.
+    chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
+    for k, f in by_order.items():
+        chars[: k - 1, k - 2] = f.char
+    touched = set()  # orders whose vector some crossing rotated
+    dirty = set()  # rotated since last normalised: rescale before rotating others
+
+    def unit(k):
+        v = chars[: k - 1, k - 2]  # a view: rotations write through it
+        if k in dirty:
+            v /= np.linalg.norm(v)
+            dirty.discard(k)
+        return v
+
+    seq = [f.order_k for f in d.factors]
     for pos, want in enumerate(target):
-        j = next(i for i in range(pos, len(seq)) if seq[i].order_k == want)
-        while j > pos:
-            seq[j - 1], seq[j] = reorder_swap(seq[j - 1], seq[j])
-            j -= 1
-    return d.replace(factors=tuple(seq), order=infer_order(target))
+        j = seq.index(want, pos)
+        theta = by_order[want].theta
+        a = unit(want)
+        run = []  # orders of the higher-order run that f is crossing
+        # Walk right to left; a sentinel order 0 closes the last run.
+        for k in seq[pos:j][::-1] + [0]:
+            if k > want:
+                run.append(k)
+                continue
+            if run:
+                cols = [r - 2 for r in run]
+                chars[:want, cols] = _apply_block(-theta, unit(want), chars[:want, cols])
+                dirty.update(run)
+                touched.update(run)
+                run = []
+            if k:
+                a[:] = _apply_block(by_order[k].theta, unit(k), a)
+                dirty.add(want)
+                touched.add(want)
+        seq[pos : j + 1] = [want] + seq[pos:j]
+    out = [by_order[k].with_char(unit(k).copy()) if k in touched else by_order[k] for k in target]
+    return d.replace(factors=tuple(out), order=infer_order(target))
 
 
 def gauge_fix(d: Decomposition) -> Decomposition:
@@ -408,7 +448,7 @@ def gauge_fix(d: Decomposition) -> Decomposition:
     # Solve phi_{k-1} - phi_k = -arg(last component of char_k), phi_n = 0.
     phi = np.zeros(n)
     for k in range(n, 1, -1):
-        last = d.factor(k).char[k - 2]
+        last = d.factors[k - 2].char[k - 2]
         phi[k - 2] = phi[k - 1] - float(np.angle(last))
     new_factors = []
     for f in d.factors:

@@ -132,3 +132,9 @@ class TestTableContract:
         other = plaquette_table(haar_random(4, 4))
         expected = max(abs(t4.value(*k) - other.value(*k)) for k in t4.keys())
         assert t4.max_abs_diff(other) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    def test_max_abs_diff_row_blocks_exact(self, n):
+        a, b = plaquette_table(haar_random(n, 5)), plaquette_table(haar_random(n, 6))
+        diff = a.values - b.values  # the whole-array form, as abs(complex) per entry
+        assert a.max_abs_diff(b) == float(np.max(np.hypot(diff.real, diff.imag)))

@@ -401,13 +401,85 @@ class TestReorderSwap:
             reorder_swap(random_factor(rng, 4, 3), random_factor(rng, 4, 3))
 
 
+def _swap_fold(d, target):
+    """The adjacent-swap path of reorder_chain, one public reorder_swap per pair."""
+    seq = list(d.factors)
+    for pos, want in enumerate(target):
+        j = next(i for i in range(pos, len(seq)) if seq[i].order_k == want)
+        while j > pos:
+            seq[j - 1], seq[j] = reorder_swap(seq[j - 1], seq[j])
+            j -= 1
+    return seq
+
+
+def _chain(factors):
+    n = factors[0].ambient_n
+    return Decomposition(n, tuple(factors), np.zeros(n), np.zeros(n), CUSTOM)
+
+
+def _edge_factor(n, k, i):
+    """Order-k factor with theta 0, pi/2 or generic and exact zeros in its vector."""
+    theta = (0.0, math.pi / 2, 0.9)[i % 3]
+    char = np.zeros(k - 1, dtype=complex)
+    if k > 2 and i % 2:
+        char[[0, k - 2]] = [math.sqrt(0.5), 1j * math.sqrt(0.5)]
+    else:
+        char[i % (k - 1)] = 1.0
+    return Factor(n, k, theta, char)
+
+
+def assert_matches_swap_fold(d, target):
+    moved = reorder_chain(d, target)
+    out = moved.factors
+    ref = _swap_fold(d, target)
+    assert [f.order_k for f in out] == [f.order_k for f in ref] == list(target)
+    assert [f.theta for f in out] == [f.theta for f in ref]
+    for a, b in zip(out, ref):
+        assert max_abs_diff(a.char, b.char) < 1e-14
+        # A factor no swap rotated comes back as the same object, in both.
+        assert (a is b) == any(b is f for f in d.factors)
+    assert max_abs_diff(compose(moved), compose(d)) < 1e-11
+
+
 class TestReorderChain:
     def test_identity_target(self):
         rng = np.random.Generator(np.random.PCG64(25))
         d = random_chain(rng, 5)
         out = reorder_chain(d, range(2, 6))
         for a, b in zip(out.factors, d.factors):
+            assert a is b
             assert max_abs_diff(a.char, b.char) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_swap_fold_every_permutation(self, n):
+        from itertools import permutations
+
+        rng = np.random.Generator(np.random.PCG64(40 + n))
+        for source in permutations(range(2, n + 1)):
+            d = _chain([random_factor(rng, n, k) for k in source])
+            for target in permutations(range(2, n + 1)):
+                assert_matches_swap_fold(d, target)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_matches_swap_fold_monotone(self, n):
+        rng = np.random.Generator(np.random.PCG64(50 + n))
+        for order in (ASCENDING, DESCENDING):
+            d = random_chain(rng, n, order)
+            assert_matches_swap_fold(d, range(2, n + 1))
+            assert_matches_swap_fold(d, range(n, 1, -1))
+
+    def test_matches_swap_fold_edge_parameters(self):
+        from itertools import permutations
+
+        n = 5
+        for shift in range(3):
+            for source in permutations(range(2, n + 1)):
+                d = _chain([_edge_factor(n, k, k + shift) for k in source])
+                for target in ([2, 3, 4, 5], [5, 4, 3, 2], [3, 5, 2, 4], [4, 2, 5, 3]):
+                    assert_matches_swap_fold(d, target)
+        for n in (8, 16):
+            d = _chain([_edge_factor(n, k, k) for k in range(n, 1, -1)])
+            assert_matches_swap_fold(d, range(2, n + 1))
 
     def test_descending_to_ascending(self):
         rng = np.random.Generator(np.random.PCG64(26))
