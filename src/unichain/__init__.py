@@ -16,12 +16,12 @@ from .matrix_core import (
     ShapeError,
     StructureError,
     haar_random,
-    is_unitary,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
     maxnorm,
     phase_matrix,
+    require_unitary,
     unitarity_defect,
     wrap_angle,
 )

@@ -30,6 +30,9 @@ _EXIT_OK = 0
 _EXIT_INVALID = 1
 _EXIT_NUMERIC = 2
 
+#: Largest matrix order ``gen`` accepts; larger orders are refused before any allocation.
+MAX_GEN_N = 1024
+
 
 class ToleranceBreach(Exception):
     """A verification residual exceeded its tolerance (exit code 2)."""
@@ -111,6 +114,8 @@ def _areas_payload(areas: list) -> list:
 
 
 def _cmd_gen(args) -> int:
+    if args.n > MAX_GEN_N:
+        raise mc.DomainError(f"matrix order {args.n} exceeds the cap {MAX_GEN_N}")
     x = mc.haar_random(args.n, args.seed)
     _emit_matrix(args.out, x, args.format)
     return _EXIT_OK
@@ -213,9 +218,7 @@ def _cmd_zerotexture(args) -> int:
             {"rows": list(rows), "cols": list(cols), "label": label}
             for (rows, cols), label in rep.sign_pattern.items()
         ],
-        "triangle_areas": [
-            {"pair": list(pair), "area": float(area)} for pair, area in rep.triangle_areas
-        ],
+        "triangle_areas": _areas_payload(rep.triangle_areas),
     }
     _emit_json(args.out, payload)
     return _EXIT_OK
@@ -258,7 +261,8 @@ def _verify_checks(x: np.ndarray, tol: float, seed: int) -> list:
             }
         )
 
-    n = mc.require_square(x)
+    x = mc.require_square(x)
+    n = x.shape[0]
     defect = mc.unitarity_defect(x)
     record("unitarity", defect, tol)
     if defect > tol:
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", help="emit a Haar-random unitary matrix")
-    p.add_argument("--n", type=int, required=True, help="matrix order")
+    p.add_argument("--n", type=int, required=True, help=f"matrix order, 1..{MAX_GEN_N}")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (PCG64)")
     p.add_argument("--out", default="-", help="output file (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")

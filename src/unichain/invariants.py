@@ -26,19 +26,28 @@ from itertools import combinations
 import numpy as np
 
 from .matrix_core import (
-    DEFAULT_UNITARITY_TOL,
+    DEFAULT_EQUALITY_TOL,
     DomainError,
     PreconditionError,
-    is_unitary,
     require_square,
+    require_unitary,
     wrap_angle,
 )
 from .recursive_param import (
+    ASCENDING,
     Decomposition,
     decompose,
     gauge_fix,
+    infer_order,
     reorder_chain,
 )
+
+#: Smallest modulus a matrix element may have to divide the panel relations.
+RELATION_ZERO_TOL = 1e-9
+#: Largest condition number of the panel relation system that is still solved.
+RELATION_COND_LIMIT = 1e12
+#: Largest |imaginary part| a plaquette of a zero texture may have to count as vanishing.
+TEXTURE_VANISH_TOL = 1e-10
 
 
 def count_independent_phases(n: int) -> int:
@@ -48,13 +57,14 @@ def count_independent_phases(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _check_pair(pair, n: int, what: str) -> tuple:
-    a, b = int(pair[0]), int(pair[1])
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise DomainError(f"{what} indices {pair} out of range 1..{n}")
-    if a == b:
-        raise DomainError(f"{what} indices must be distinct, got {pair}")
-    return a, b
+def _check_indices(idx, n: int, what: str) -> tuple:
+    """The 1-based indices *idx* as a tuple of ints, checked to lie in 1..n and differ."""
+    out = tuple(int(i) for i in idx)
+    if not all(1 <= i <= n for i in out):
+        raise DomainError(f"{what} indices {idx} out of range 1..{n}")
+    if len(set(out)) != len(out):
+        raise DomainError(f"{what} indices must be distinct, got {idx}")
+    return out
 
 
 def _mul(ar, ai, br, bi) -> tuple:
@@ -108,9 +118,9 @@ class Plaquette:
 
 def plaquette(x, rows, cols) -> Plaquette:
     """The invariant for row pair *rows* and column pair *cols* of *x*."""
-    n = require_square(x)
-    x = np.asarray(x, dtype=np.complex128)
-    (a, b), (j, k) = _check_pair(rows, n, "row"), _check_pair(cols, n, "column")
+    x = require_square(x)
+    n = x.shape[0]
+    (a, b), (j, k) = _check_indices(rows, n, "row"), _check_indices(cols, n, "column")
     value = complex(*_quartet(x[a - 1, j - 1], x[b - 1, k - 1], x[a - 1, k - 1], x[b - 1, j - 1]))
     p = Plaquette(tuple(sorted((a, b))), tuple(sorted((j, k))), value)
     return Plaquette(p.rows, p.cols, p.oriented((a, b), (j, k)))
@@ -137,7 +147,7 @@ class PlaquetteTable:
 
     def _pair(self, pair, what: str) -> tuple:
         """The sorted pair and its position in ``combinations`` order."""
-        a, b = sorted(_check_pair(pair, self.n, what))
+        a, b = sorted(_check_indices(pair, self.n, what))
         return (a, b), (a - 1) * (2 * self.n - a) // 2 + b - a - 1
 
     def get(self, rows, cols) -> Plaquette:
@@ -173,11 +183,9 @@ def _row_blocks(n: int):
         yield a, slice(start, start + n - 1 - a)
 
 
-def plaquette_table(x, tol: float = DEFAULT_UNITARITY_TOL) -> PlaquetteTable:
-    n = require_square(x)
-    x = np.asarray(x, dtype=np.complex128)
-    if not is_unitary(x, tol):
-        raise DomainError(f"input is not unitary within {tol}")
+def plaquette_table(x) -> PlaquetteTable:
+    x = require_unitary(x)
+    n = x.shape[0]
     j, k = np.triu_indices(n, 1)
     xj, xk = x[:, j], x[:, k]
     values = np.empty((j.size, j.size), dtype=np.complex128)
@@ -188,27 +196,25 @@ def plaquette_table(x, tol: float = DEFAULT_UNITARITY_TOL) -> PlaquetteTable:
     return PlaquetteTable(n=n, values=values)
 
 
-def reduce_sextet(x, rows, cols, tol: float = 1e-12) -> tuple:
+def reduce_sextet(x, rows, cols) -> tuple:
     """Reduce a sixth-order invariant to fourth-order ones.
 
     Returns (lhs, rhs) where lhs = Im(V_aj V_bk V_cl conj(V_ak V_bl V_cj))
     for row triple (a, b, c) and column triple (j, k, l), and rhs is the
     reduction [(ab, jk)<bc, jl> + <ab, jk>(bc, jl)] / |V_bj|^2.  Both are
     returned so callers can compare them; they agree whenever the pivot
-    V_bj is meaningfully nonzero.
+    V_bj is nonzero beyond ``DEFAULT_EQUALITY_TOL``; a smaller pivot is a
+    :class:`PreconditionError`.
     """
-    n = require_square(x)
-    x = np.asarray(x, dtype=np.complex128)
-    a, b, c = (int(i) for i in rows)
-    j, k, l = (int(i) for i in cols)
-    if len({a, b, c}) != 3 or not all(1 <= i <= n for i in (a, b, c)):
-        raise DomainError(f"row triple {rows} must be distinct and in 1..{n}")
-    if len({j, k, l}) != 3 or not all(1 <= i <= n for i in (j, k, l)):
-        raise DomainError(f"column triple {cols} must be distinct and in 1..{n}")
+    x = require_square(x)
+    n = x.shape[0]
+    a, b, c = _check_indices(rows, n, "row")
+    j, k, l = _check_indices(cols, n, "column")
     pivot = abs(x[b - 1, j - 1])
-    if pivot <= tol:
+    if pivot <= DEFAULT_EQUALITY_TOL:
         raise PreconditionError(
-            f"pivot element V[{b},{j}] has modulus {pivot:.3e} <= {tol}; reduction undefined"
+            f"pivot element V[{b},{j}] has modulus {pivot:.3e} <= {DEFAULT_EQUALITY_TOL}; "
+            "reduction undefined"
         )
     lhs = (
         x[a - 1, j - 1]
@@ -234,8 +240,7 @@ class OmegaSet:
 
 
 def _ascending_chars(d: Decomposition) -> dict:
-    ks = [f.order_k for f in d.factors]
-    if ks != sorted(ks):
+    if infer_order(f.order_k for f in d.factors) != ASCENDING:
         raise DomainError("expected an ascending chain")
     return {f.order_k: f.char for f in d.factors}
 
@@ -334,13 +339,11 @@ class PanelLattice:
         return complex(self.panels[a - 1, b - 1])
 
 
-def panel_lattice(x, tol: float = DEFAULT_UNITARITY_TOL) -> PanelLattice:
-    n = require_square(x)
+def panel_lattice(x) -> PanelLattice:
+    x = require_unitary(x)
+    n = x.shape[0]
     if n < 2:
         raise DomainError("panel lattice needs n >= 2")
-    x = np.asarray(x, dtype=np.complex128)
-    if not is_unitary(x, tol):
-        raise DomainError(f"input is not unitary within {tol}")
     panels = np.empty((n - 1, n - 1), dtype=np.complex128)
     panels.real, panels.imag = _quartet(x[:-1, :-1], x[1:, 1:], x[:-1, 1:], x[1:, :-1])
     panels.setflags(write=False)
@@ -361,27 +364,26 @@ _RELATION_DENOMS = (
 _DEPENDENT_PANELS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
 
-def _relation_system(x, zero_tol: float) -> tuple:
+def _relation_system(x) -> tuple:
     """The six panel relations of a 4-by-4 unitary as a linear system.
 
     Returns (A, b, J_direct): the relations read A @ u = b in the unknowns
     u = (J12, J13, J21, J23, J31, J32), 1-based panel labels, whose
     directly computed values are J_direct.  Every matrix element appearing
-    in a denominator must be nonzero beyond *zero_tol*.
+    in a denominator must be nonzero beyond ``RELATION_ZERO_TOL``.
     """
-    n = require_square(x)
-    if n != 4:
-        raise DomainError(f"the six panel relations are specific to n=4, got n={n}")
-    x = np.asarray(x, dtype=np.complex128)
+    x = require_square(x)
+    if x.shape[0] != 4:
+        raise DomainError(f"the six panel relations are specific to n=4, got n={x.shape[0]}")
     lat = panel_lattice(x)
     J, R = lat.J, lat.R
     m = []
     for (r1, c1), (r2, c2) in _RELATION_DENOMS:
         for (r, c) in ((r1, c1), (r2, c2)):
-            if abs(x[r - 1, c - 1]) <= zero_tol:
+            if abs(x[r - 1, c - 1]) <= RELATION_ZERO_TOL:
                 raise PreconditionError(
                     f"matrix element V[{r},{c}] has modulus {abs(x[r - 1, c - 1]):.3e} "
-                    f"<= {zero_tol}; the panel relations divide by it"
+                    f"<= {RELATION_ZERO_TOL}; the panel relations divide by it"
                 )
         m.append(abs(x[r1 - 1, c1 - 1] * x[r2 - 1, c2 - 1]) ** 2)
     a = np.zeros((6, 6))
@@ -396,30 +398,31 @@ def _relation_system(x, zero_tol: float) -> tuple:
     return a, b, j_direct
 
 
-def panel_relation_residuals(x, zero_tol: float = 1e-9) -> np.ndarray:
+def panel_relation_residuals(x) -> np.ndarray:
     """LHS - RHS of the six panel unitarity relations of a 4-by-4 unitary.
 
     All six vanish (to rounding) for exactly unitary input.  Requires
     every matrix element appearing in a denominator to be nonzero beyond
-    *zero_tol*.
+    ``RELATION_ZERO_TOL``.
     """
-    a, b, j_direct = _relation_system(x, zero_tol)
+    a, b, j_direct = _relation_system(x)
     return a @ j_direct - b
 
 
-def basis_solve_n4(x, zero_tol: float = 1e-9, cond_limit: float = 1e12) -> dict:
+def basis_solve_n4(x) -> dict:
     """Solve the six panel relations for the dependent imaginary parts.
 
     Given the basis {J_11, J_22, J_33} (and the real parts and moduli,
     which are invariant data), returns the six remaining J_ab of the
     4-by-4 panel lattice, keyed by (a, b).  The relations couple the
     unknowns in a single cycle, so they are solved as one 6-by-6 linear
-    system; a near-singular system (degenerate moduli) is reported as
-    unsolvable together with the directly computed panel values.
+    system; a near-singular system (condition number above
+    ``RELATION_COND_LIMIT``, degenerate moduli) is reported as unsolvable
+    together with the directly computed panel values.
     """
-    a, b, j_direct = _relation_system(x, zero_tol)
+    a, b, j_direct = _relation_system(x)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > RELATION_COND_LIMIT:
         direct = dict(zip(_DEPENDENT_PANELS, (float(v) for v in j_direct)))
         raise PreconditionError(
             f"panel relation system is singular (cond={cond:.3e}); "
@@ -482,7 +485,7 @@ def closed_forms_n4(d: Decomposition) -> tuple:
 # --- unitarity triangles -----------------------------------------------------
 
 
-def triangle_areas(x, tol: float = DEFAULT_UNITARITY_TOL) -> list:
+def triangle_areas(x) -> list:
     """Areas of the row- and column-orthogonality polygons.
 
     For every row pair (a, b) the sides are V_aj conj(V_bj), j = 1..n
@@ -490,10 +493,8 @@ def triangle_areas(x, tol: float = DEFAULT_UNITARITY_TOL) -> list:
     n = 3 every polygon is a triangle of area |J|/2.  Returns a list of
     (("rows"|"cols", i, j), area) with 1-based indices.
     """
-    n = require_square(x)
-    x = np.asarray(x, dtype=np.complex128)
-    if not is_unitary(x, tol):
-        raise DomainError(f"input is not unitary within {tol}")
+    x = require_unitary(x)
+    n = x.shape[0]
     a, b = np.triu_indices(n, 1)
     pairs = list(zip(a.tolist(), b.tolist()))
     out = []
@@ -576,12 +577,7 @@ def _texture_permutation(x: np.ndarray, tol: float) -> tuple:
     return tuple(row_order), tuple(col_order), ((r1 + 1, c1 + 1), (r2 + 1, c2 + 1))
 
 
-def zero_texture_analysis(
-    x,
-    tol: float = 1e-9,
-    vanish_tol: float = 1e-10,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-) -> ZeroTextureReport:
+def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
     """Analyse a 4-by-4 unitary whose two zeros share no row or column.
 
     The matrix is relabelled so the zeros sit at (1, 4) and (4, 1); there
@@ -593,14 +589,13 @@ def zero_texture_analysis(
         J = c2 c3 c4 s2 s3^2 Im(conj(x1) x2),
         J' = -c2 c3 c4 s2 s4^2 Im(conj(x1) x2),
 
-    whence J'/J = -s4^2/s3^2.
+    whence J'/J = -s4^2/s3^2.  Entries at most *tol* in modulus count as
+    zeros; ``vanishing_count`` counts the imaginary parts at most
+    ``TEXTURE_VANISH_TOL``.
     """
-    n = require_square(x)
-    if n != 4:
-        raise DomainError(f"zero-texture analysis is specific to n=4, got n={n}")
-    x = np.asarray(x, dtype=np.complex128)
-    if not is_unitary(x, unitarity_tol):
-        raise DomainError(f"input is not unitary within {unitarity_tol}")
+    x = require_unitary(x)
+    if x.shape[0] != 4:
+        raise DomainError(f"zero-texture analysis is specific to n=4, got n={x.shape[0]}")
     row_order, col_order, zeros = _texture_permutation(x, tol)
     std = x[np.ix_(row_order, col_order)]
     nonzero_min = min(
@@ -611,25 +606,25 @@ def zero_texture_analysis(
             f"all entries off the texture must exceed {tol}; smallest is {nonzero_min:.3e}"
         )
 
-    table = plaquette_table(std, tol=unitarity_tol)
+    table = plaquette_table(std)
     j_val = table.im((1, 2), (1, 2))
     jp_val = table.im((3, 4), (3, 4))
 
     ims = table.values.imag.ravel()
-    vanishing = np.count_nonzero(np.abs(ims) <= vanish_tol)
+    vanishing = np.count_nonzero(np.abs(ims) <= TEXTURE_VANISH_TOL)
     # Each entry takes the label of the nearest candidate, the first on ties.
     labels = ("0", "+J", "-J", "+J'", "-J'", "J+J'")
     targets = np.array([0.0, j_val, -j_val, jp_val, -jp_val, j_val + jp_val])
     nearest = np.argmin(np.abs(ims[:, None] - targets), axis=1).tolist()
     sign_pattern = {key: labels[i] for key, i in zip(table.keys(), nearest)}
 
-    areas = dict(triangle_areas(std, tol=unitarity_tol))
+    areas = dict(triangle_areas(std))
     tri = tuple((label, areas[label]) for label in _TEXTURE_TRIANGLES)
 
     # Closed forms: relabel rows/cols 1 <-> 3 so the zeros move to (3,4)/(4,3),
     # then peel into an ascending canonical chain.
     calc = std[np.ix_((2, 1, 0, 3), (2, 1, 0, 3))]
-    chain = gauge_fix(reorder_chain(decompose(calc, unitarity_tol), range(2, 5)))
+    chain = gauge_fix(reorder_chain(decompose(calc), range(2, 5)))
     t2, t3, t4 = (chain.factor(k).theta for k in (2, 3, 4))
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)

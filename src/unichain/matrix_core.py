@@ -7,7 +7,8 @@ matrix in this package is a dense ``numpy.ndarray`` of dtype
 entry), which is easy to reason about entry by entry at the small sizes
 this library targets.
 
-Tolerances are explicit parameters everywhere, with module-wide defaults
+Matrix arguments are validated by :func:`require_square` or
+:func:`require_unitary`; module-wide tolerances are
 ``DEFAULT_UNITARITY_TOL`` (1e-10) and ``DEFAULT_EQUALITY_TOL`` (1e-12).
 All functions are pure; random sampling takes a mandatory seed and owns
 its generator, so results are reproducible bit for bit.
@@ -45,22 +46,27 @@ class ConsistencyError(ArithmeticError):
     """An internal numerical consistency check failed."""
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce *a* to a 2-d complex128 array, rejecting non-finite entries."""
+def require_square(a) -> np.ndarray:
+    """*a* as a 2-d, finite, square complex128 array (not copied if it is one already).
+
+    Raises :class:`ShapeError` for a wrong shape, :class:`DomainError` for non-finite entries.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def require_square(a: np.ndarray) -> int:
-    """Return the order of *a*, raising :class:`ShapeError` if non-square."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[0]
+def require_unitary(a, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
+    """:func:`require_square`, then :class:`DomainError` unless the defect is within *tol*."""
+    m = require_square(a)
+    if not _defect(m) <= tol:  # a nan tol rejects everything
+        raise DomainError(f"input is not unitary within {tol}")
+    return m
 
 
 def maxnorm(a) -> float:
@@ -79,15 +85,12 @@ def max_abs_diff(a, b) -> float:
 
 def unitarity_defect(a) -> float:
     """max(||a a^H - I||, ||a^H a - I||) in max-norm; input must be square."""
-    n = require_square(a)
-    a = np.asarray(a, dtype=np.complex128)
-    eye = np.eye(n)
-    return max(maxnorm(a @ a.conj().T - eye), maxnorm(a.conj().T @ a - eye))
+    return _defect(require_square(a))
 
 
-def is_unitary(a, tol: float = DEFAULT_UNITARITY_TOL) -> bool:
-    """True iff *a* is unitary within *tol* in max-norm (both orders checked)."""
-    return unitarity_defect(a) <= tol
+def _defect(m: np.ndarray) -> float:
+    eye = np.eye(m.shape[0])
+    return max(maxnorm(m @ m.conj().T - eye), maxnorm(m.conj().T @ m - eye))
 
 
 def wrap_angle(theta: float) -> float:
@@ -171,8 +174,8 @@ def complex_from_pairs(pairs, what: str = "entry") -> np.ndarray:
 
 def matrix_to_json_dict(a) -> dict:
     """Serialise a square matrix to its JSON document (plain dict)."""
-    n = require_square(a)
-    return {"n": n, "entries": complex_to_pairs(a)}
+    m = require_square(a)
+    return {"n": m.shape[0], "entries": complex_to_pairs(m)}
 
 
 def matrix_from_json_dict(obj) -> np.ndarray:

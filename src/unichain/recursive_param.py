@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix_core import (
+    DEFAULT_EQUALITY_TOL,
     DEFAULT_UNITARITY_TOL,
     ConsistencyError,
     DomainError,
@@ -38,11 +39,11 @@ from .matrix_core import (
     StructureError,
     complex_from_pairs,
     complex_to_pairs,
-    is_unitary,
     maxnorm,
     phase_matrix,
     phase_vector,
     require_square,
+    require_unitary,
     wrap_angles,
 )
 
@@ -109,8 +110,7 @@ class Generator:
     n: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.matrix, dtype=np.complex128)
-        n = require_square(g)
+        g = require_square(self.matrix)
         if maxnorm(g - g.conj().T) > 1e-13:
             raise DomainError("generator is not hermitian within 1e-13")
         g3 = g @ g @ g
@@ -122,7 +122,7 @@ class Generator:
             raise DomainError("generator squared trace is not 2 within 1e-12")
         g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", g.shape[0])
 
 
 def block(theta: float, a) -> np.ndarray:
@@ -296,36 +296,34 @@ def compose(d: Decomposition) -> np.ndarray:
 def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
     """Peel a unitary matrix into a descending chain with right phases.
 
-    For k = n down to 2, on the shrinking working matrix M: the corner
-    modulus |M_kk| fixes cos(theta_k) (clamped into [0, 1], so theta_k
-    lies in [0, pi/2]); the corner argument fixes the phase beta_k; the
-    rest of column k, rephased and divided by sin(theta_k), is the
-    characteristic vector.  Left-multiplying by the inverse factor must
-    then reduce row and column k to e^{i beta_k} times the unit vector --
-    checked, and reported as a :class:`ConsistencyError` otherwise --
-    after which row and column k are stripped.
+    For k = n down to 2, on the shrinking working matrix M with corner
+    M_kk and the rest of column k, col: theta_k = atan2(||col||, |M_kk|)
+    lies in [0, pi/2] and keeps full relative accuracy at both ends of
+    that range; beta_k = arg(M_kk); the characteristic vector is
+    e^{-i beta_k} col / ||col||.  Left-multiplying by the inverse factor
+    must then reduce row and column k to e^{i beta_k} times the unit
+    vector -- checked, and reported as a :class:`ConsistencyError` beyond
+    10 * tol -- after which row and column k are stripped.
 
-    Degenerate steps are fixed by convention: sin below *tol* takes the
-    last basis vector as characteristic vector; cos below *tol* takes
-    beta_k = 0.  Output: descending order, all-zero left phases, exactly
-    n^2 real parameters, and compose(decompose(x)) = x within 10 * tol.
+    Degenerate steps are fixed by convention, only on exact zeros: a zero
+    col takes the last basis vector as characteristic vector; a zero
+    corner takes beta_k = 0.  Output: descending order, all-zero left
+    phases, exactly n^2 real parameters, and compose(decompose(x)) = x
+    within 10 * tol.
     """
-    n = require_square(x)
-    x = np.asarray(x, dtype=np.complex128)
-    if not is_unitary(x, tol):
-        raise DomainError(f"input is not unitary within {tol}")
+    x = require_unitary(x, tol)
+    n = x.shape[0]
     m = x.copy()
     factors = []
     betas = np.zeros(n)
     for k in range(n, 1, -1):
-        corner = m[k - 1, k - 1]
-        c = min(abs(corner), 1.0)
-        theta = math.acos(c)
-        s = math.sin(theta)
-        beta = float(np.angle(corner)) if c > tol else 0.0
-        if s > tol:
-            u = np.exp(-1j * beta) * m[: k - 1, k - 1] / s
-            u = u / np.linalg.norm(u)
+        corner, col = m[k - 1, k - 1], m[: k - 1, k - 1]
+        norm = math.sqrt(np.vdot(col, col).real)
+        theta = math.atan2(norm, abs(corner))
+        beta = float(np.angle(corner)) if corner != 0 else 0.0
+        if norm > 0:
+            u = np.exp(-1j * beta) * col / norm
+            u /= math.sqrt(np.vdot(u, u).real)  # norm is inexact once the squares of col underflow
         else:
             u = np.zeros(k - 1, dtype=np.complex128)
             u[k - 2] = 1.0
@@ -442,8 +440,7 @@ def gauge_fix(d: Decomposition) -> Decomposition:
     and the operation is idempotent.
     """
     n = d.ambient_n
-    ks = [f.order_k for f in d.factors]
-    if ks != sorted(ks):
+    if infer_order(f.order_k for f in d.factors) != ASCENDING:
         raise DomainError("gauge fixing expects an ascending chain")
     # Solve phi_{k-1} - phi_k = -arg(last component of char_k), phi_n = 0.
     phi = np.zeros(n)
@@ -468,10 +465,10 @@ def gauge_fix(d: Decomposition) -> Decomposition:
     )
 
 
-def in_canonical_gauge(d: Decomposition, tol: float = 1e-12) -> bool:
-    """True iff *d* is ascending with pinned characteristic-vector phases."""
-    ks = [f.order_k for f in d.factors]
-    if ks != sorted(ks):
+def in_canonical_gauge(d: Decomposition) -> bool:
+    """True iff *d* is ascending with phases pinned within ``DEFAULT_EQUALITY_TOL``."""
+    tol = DEFAULT_EQUALITY_TOL
+    if infer_order(f.order_k for f in d.factors) != ASCENDING:
         return False
     for f in d.factors:
         last = f.char[f.order_k - 2]

@@ -276,7 +276,7 @@ def test_criterion_09_zero_texture():
     worst_sum = 0.0  # the (23,23) = J + J' identity carries a tighter bound
     for _ in range(10):
         v = texture_matrix(rng)
-        rep = zero_texture_analysis(v, vanish_tol=1e-10)
+        rep = zero_texture_analysis(v)
         structure_ok = structure_ok and rep.vanishing_count == 19
         for key, label in expected_chain.items():
             structure_ok = structure_ok and rep.sign_pattern[key] == label

@@ -4,7 +4,7 @@ import resource
 import numpy as np
 
 from helpers import run_cli, texture_matrix
-from unichain.cli import main
+from unichain.cli import MAX_GEN_N, main
 from unichain.matrix_core import (
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -271,6 +271,17 @@ class TestOversizedInput:
         )
         assert proc.returncode == 1, proc.stderr
         assert "one factor per order" in proc.stderr
+
+    def test_gen_order_above_cap_exits_1(self, monkeypatch):
+        # 10**6 squared complex entries would be 16 TB; the cap refuses the order first.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        proc = run_cli(
+            ["gen", "--n", "1000000", "--seed", "1"], timeout=10, preexec_fn=_limit_address_space
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert f"exceeds the cap {MAX_GEN_N}" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestSmallOrders:

@@ -10,11 +10,12 @@ from unichain.matrix_core import (
     ShapeError,
     StructureError,
     haar_random,
-    is_unitary,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
     phase_matrix,
+    require_square,
+    require_unitary,
     unitarity_defect,
     wrap_angle,
 )
@@ -26,19 +27,32 @@ def random_complex(rng, shape):
 
 class TestIsUnitary:
     def test_identity(self):
-        assert is_unitary(np.eye(5), 1e-12)
+        assert unitarity_defect(np.eye(5)) <= 1e-12
 
     def test_slightly_scaled_diagonal(self):
         # defect of diag(1, 1.0000001) is about 2e-7, far above 1e-12
-        assert not is_unitary(np.diag([1.0, 1.0000001]), 1e-12)
+        assert not unitarity_defect(np.diag([1.0, 1.0000001])) <= 1e-12
 
     def test_haar_outputs(self):
         for seed in range(100):
-            assert is_unitary(haar_random(6, seed), 1e-10)
+            assert unitarity_defect(haar_random(6, seed)) <= 1e-10
 
     def test_nonsquare_raises(self):
         with pytest.raises(ShapeError):
-            is_unitary(np.ones((2, 3)))
+            unitarity_defect(np.ones((2, 3)))
+
+    def test_require_square_returns_the_validated_array(self):
+        m = require_square([[1, 0], [0, 1]])
+        assert m.dtype == np.complex128 and m.shape == (2, 2)
+        assert require_square(m) is m
+        with pytest.raises(DomainError):
+            require_square([[1.0, math.nan], [0.0, 1.0]])
+
+    def test_require_unitary(self):
+        x = haar_random(4, 0)
+        assert require_unitary(x) is x
+        with pytest.raises(DomainError, match="not unitary within 1e-12"):
+            require_unitary(np.diag([1.0, 1.0000001]), 1e-12)
 
 
 class TestPhaseMatrix:

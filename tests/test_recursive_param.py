@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from unichain.matrix_core import (
     ShapeError,
     StructureError,
     haar_random,
-    is_unitary,
     max_abs_diff,
     maxnorm,
     phase_matrix,
+    unitarity_defect,
     wrap_angles,
 )
 from unichain.recursive_param import (
@@ -57,6 +58,24 @@ def random_chain(rng, n, order=ASCENDING):
         right_phases=rng.uniform(-math.pi, math.pi, n),
         order=order,
     )
+
+
+EPS = np.finfo(float).eps
+#: Angles at and near both ends of [0, pi/2]; 1e-160 has a column norm whose square underflows.
+EDGE_ANGLES = (0.0, 1e-160, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, math.pi / 2 - 1e-9, math.pi / 2)
+
+
+def edge_chain(rng, n):
+    """Ascending chain with angles from EDGE_ANGLES and some exactly-zero vector components."""
+    factors = []
+    for k in range(2, n + 1):
+        v = random_char(rng, k - 1)
+        zero = rng.random(k - 1) < 1 / 3
+        zero[rng.integers(k - 1)] = False
+        v[zero] = 0.0
+        factors.append(Factor(n, k, rng.choice(EDGE_ANGLES), v / np.linalg.norm(v)))
+    left, right = rng.uniform(-math.pi, math.pi, (2, n))
+    return Decomposition(n, tuple(factors), left, right, ASCENDING)
 
 
 def eq27_matrices(t2, t3, t4, x, y):
@@ -119,7 +138,7 @@ class TestBlock:
         rng = np.random.Generator(np.random.PCG64(2))
         for k in range(2, 7):
             b = block(rng.uniform(0, math.pi), random_char(rng, k - 1))
-            assert is_unitary(b, 1e-12)
+            assert unitarity_defect(b) <= 1e-12
             assert abs(np.linalg.det(b) - 1.0) < 1e-12
 
 
@@ -349,6 +368,33 @@ class TestDecompose:
         d = decompose(np.array([[np.exp(0.7j)]]))
         assert d.factors == ()
         assert abs(d.right_phases[0] - 0.7) < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+    def test_round_trip_edge_angles_and_zero_components(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        for _ in range(20):
+            x = compose(edge_chain(rng, n))
+            assert max_abs_diff(compose(decompose(x)), x) <= 10 * n * EPS
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-5])
+    def test_small_angles_recovered_to_full_precision(self, theta):
+        rng = np.random.Generator(np.random.PCG64(7))
+        for n in (2, 3, 4, 5, 8, 16):
+            factors = tuple(Factor(n, k, theta, random_char(rng, k - 1)) for k in range(n, 1, -1))
+            right = rng.uniform(-math.pi, math.pi, n)
+            d = decompose(compose(Decomposition(n, factors, np.zeros(n), right, DESCENDING)))
+            assert max(abs(f.theta - theta) for f in d.factors) <= 1e-15
+
+    def test_permuted_phase_matrices(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        perms = [list(p) for n in range(1, 5) for p in itertools.permutations(range(n))]
+        perms += [list(rng.permutation(n)) for n in (8, 16) for _ in range(5)]
+        perms += [list(range(n)) for n in (8, 16)]
+        for p in perms:
+            n = len(p)
+            phases = phase_matrix(rng.uniform(-math.pi, math.pi, n))
+            for x in (np.eye(n)[p], np.eye(n)[p] @ phases):
+                assert max_abs_diff(compose(decompose(x)), x) <= 10 * n * EPS
 
 
 class TestReorderSwap:
