@@ -20,7 +20,7 @@ notation for mixing matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -48,6 +48,8 @@ RELATION_ZERO_TOL = 1e-9
 RELATION_COND_LIMIT = 1e12
 #: Largest |imaginary part| a plaquette of a zero texture may have to count as vanishing.
 TEXTURE_VANISH_TOL = 1e-10
+#: Most entries ``plaquette_table`` builds: the n = 64 table, 2016^2 entries (62 MB).
+MAX_TABLE_ENTRIES = 2016**2
 
 
 def count_independent_phases(n: int) -> int:
@@ -68,7 +70,7 @@ def _check_indices(idx, n: int, what: str) -> tuple:
 
 
 def _mul(ar, ai, br, bi) -> tuple:
-    """(re, im) of (ar + i ai)(br + i bi), in numpy's scalar order of operations."""
+    """(re, im) of (ar + i ai)(br + i bi), in Python's scalar order of operations."""
     re = ar * br
     re -= ai * bi
     im = ar * bi
@@ -76,13 +78,11 @@ def _mul(ar, ai, br, bi) -> tuple:
     return re, im
 
 
-def _quartet(aj, bk, ak, bj) -> tuple:
-    """(re, im) of ((aj bk) conj(ak)) conj(bj) for complex scalars or arrays, bit
-    for bit the scalar product of each entry (numpy's vectorised complex
-    multiply may fuse multiply-adds, so it is not used)."""
-    pr, pi = _mul(aj.real, aj.imag, bk.real, bk.imag)
-    qr, qi = _mul(pr, pi, ak.real, -ak.imag)
-    return _mul(qr, qi, bj.real, -bj.imag)
+def _sides(re, im, a, b) -> tuple:
+    """(re, im) of the polygon sides p = V[a] conj(V[b]) of V = re + i im, a and b row indices;
+    plaquettes are Q_ab,jk = p_ab(j) conj(p_ab(k)).  Entries equal Python's complex products bit
+    for bit (numpy's vectorised complex multiply may fuse multiply-adds, so it is not used)."""
+    return _mul(re[a], im[a], re[b], -im[b])
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,11 @@ def plaquette(x, rows, cols) -> Plaquette:
     """The invariant for row pair *rows* and column pair *cols* of *x*."""
     x = require_square(x)
     n = x.shape[0]
-    (a, b), (j, k) = _check_indices(rows, n, "row"), _check_indices(cols, n, "column")
-    value = complex(*_quartet(x[a - 1, j - 1], x[b - 1, k - 1], x[a - 1, k - 1], x[b - 1, j - 1]))
-    p = Plaquette(tuple(sorted((a, b))), tuple(sorted((j, k))), value)
-    return Plaquette(p.rows, p.cols, p.oriented((a, b), (j, k)))
+    rows = tuple(sorted(_check_indices(rows, n, "row")))
+    cols = tuple(sorted(_check_indices(cols, n, "column")))
+    (a, b), (j, k) = rows, cols
+    sr, si = _sides(x.real, x.imag, a - 1, b - 1)
+    return Plaquette(rows, cols, complex(*_mul(sr[j - 1], si[j - 1], sr[k - 1], -si[k - 1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,28 +171,34 @@ class PlaquetteTable:
         if other.n != self.n:
             raise DomainError("tables belong to different matrix orders")
         peaks = []
-        for _, rows in _row_blocks(self.n):  # bounded temporaries, exact maximum
+        for rows in _row_blocks(self.n):  # bounded temporaries, exact maximum
             diff = self.values[rows] - other.values[rows]
             peaks.append(np.max(np.hypot(diff.real, diff.imag)))
         return float(np.max(peaks, initial=0.0))
 
 
 def _row_blocks(n: int):
-    """Each first row a with the slice of its row pairs (a, b > a), in ``combinations`` order."""
+    """For each first row a, the slice of its row pairs (a, b > a), in ``combinations`` order."""
     for a in range(n - 1):
         start = a * (2 * n - a - 1) // 2
-        yield a, slice(start, start + n - 1 - a)
+        yield slice(start, start + n - 1 - a)
 
 
 def plaquette_table(x) -> PlaquetteTable:
+    """All canonical plaquettes of a unitary of order at most 64 (``MAX_TABLE_ENTRIES``)."""
     x = require_unitary(x)
     n = x.shape[0]
+    m = n * (n - 1) // 2
+    if m * m > MAX_TABLE_ENTRIES:
+        raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
+    # Row and column pairs share ``combinations`` order; one m-by-n side matrix.
     j, k = np.triu_indices(n, 1)
-    xj, xk = x[:, j], x[:, k]
-    values = np.empty((j.size, j.size), dtype=np.complex128)
+    sr, si = _sides(x.real, x.imag, j, k)
+    values = np.empty((m, m), dtype=np.complex128)
     # One block of row pairs (a, b > a) at a time keeps temporaries small.
-    for a, rows in _row_blocks(n):
-        values.real[rows], values.imag[rows] = _quartet(xj[a], xk[a + 1 :], xk[a], xj[a + 1 :])
+    for rows in _row_blocks(n):
+        br, bi = sr[rows], si[rows]
+        values.real[rows], values.imag[rows] = _mul(br[:, j], bi[:, j], br[:, k], -bi[:, k])
     values.setflags(write=False)
     return PlaquetteTable(n=n, values=values)
 
@@ -313,7 +320,7 @@ def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
     new_factors = tuple(
         f.with_char(chars[f.order_k]) if f.order_k in (3, 4, 5) else f for f in d.factors
     )
-    return d.replace(factors=new_factors)
+    return replace(d, factors=new_factors)
 
 
 # --- panel lattice and the six unitarity relations (n = 4) ------------------
@@ -344,8 +351,10 @@ def panel_lattice(x) -> PanelLattice:
     n = x.shape[0]
     if n < 2:
         raise DomainError("panel lattice needs n >= 2")
+    # Sides of adjacent rows (a, a+1); panel (a, b) pairs sides b and b+1.
+    sr, si = _sides(x.real, x.imag, slice(None, -1), slice(1, None))
     panels = np.empty((n - 1, n - 1), dtype=np.complex128)
-    panels.real, panels.imag = _quartet(x[:-1, :-1], x[1:, 1:], x[:-1, 1:], x[1:, :-1])
+    panels.real, panels.imag = _mul(sr[:, :-1], si[:, :-1], sr[:, 1:], -si[:, 1:])
     panels.setflags(write=False)
     return PanelLattice(n=n, panels=panels)
 
@@ -498,15 +507,16 @@ def triangle_areas(x) -> list:
     a, b = np.triu_indices(n, 1)
     pairs = list(zip(a.tolist(), b.tolist()))
     out = []
-    # Columns are rows of a C-contiguous transpose, so both kinds of sides come
-    # from one complex product; vertices 0, s_1, s_1 + s_2, ... per polygon,
-    # shoelace terms Im(conj(v_i) v_i+1) summed in order along each polygon.
-    for kind, v in (("rows", x), ("cols", np.ascontiguousarray(x.T))):
-        vertices = np.zeros((len(pairs), n + 1), dtype=np.complex128)
-        np.cumsum(v[a] * np.conj(v[b]), axis=1, out=vertices[:, 1:])
-        vr, vi = vertices.real, vertices.imag
-        terms = vr[:, :-1] * vi[:, 1:] - vi[:, :-1] * vr[:, 1:]
-        areas = np.abs(0.5 * np.cumsum(terms, axis=1)[:, -1])
+    # Columns are rows of the transpose; contiguous parts gather fast.  Cumulative
+    # sums of the sides are the vertices v_1 .. v_n (v_0 = 0 adds a zero term), and
+    # the shoelace terms Im(conj(v_i) v_i+1) are summed in order along each polygon.
+    for kind, v in (("rows", x), ("cols", x.T)):
+        vr, vi = _sides(np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag), a, b)
+        np.cumsum(vr, axis=1, out=vr)
+        np.cumsum(vi, axis=1, out=vi)
+        terms = vr[:, :-1] * vi[:, 1:]
+        terms -= vi[:, :-1] * vr[:, 1:]
+        areas = np.abs(0.5 * sum(terms.T, np.zeros(len(pairs))))
         out += [((kind, i + 1, j + 1), area) for (i, j), area in zip(pairs, areas)]
     return out
 

@@ -26,7 +26,7 @@ form; :func:`block` and :func:`embed` are the dense reference forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -270,17 +270,6 @@ class Decomposition:
         """Real parameters under the canonical counting: sum(2k-2) + n = n^2."""
         return sum(2 * f.order_k - 2 for f in self.factors) + self.ambient_n
 
-    def replace(self, **changes) -> "Decomposition":
-        state = dict(
-            ambient_n=self.ambient_n,
-            factors=self.factors,
-            left_phases=self.left_phases,
-            right_phases=self.right_phases,
-            order=self.order,
-        )
-        state.update(changes)
-        return Decomposition(**state)
-
 
 def compose(d: Decomposition) -> np.ndarray:
     """Multiply out Phi(left) . embed(f_1) ... embed(f_m) . Phi(right).
@@ -427,7 +416,7 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
                 touched.add(want)
         seq[pos : j + 1] = [want] + seq[pos:j]
     out = [by_order[k].with_char(unit(k).copy()) if k in touched else by_order[k] for k in target]
-    return d.replace(factors=tuple(out), order=infer_order(target))
+    return replace(d, factors=tuple(out), order=infer_order(target))
 
 
 def gauge_fix(d: Decomposition) -> Decomposition:

@@ -5,6 +5,7 @@ import numpy as np
 
 from helpers import run_cli, texture_matrix
 from unichain.cli import MAX_GEN_N, main
+from unichain.invariants import MAX_TABLE_ENTRIES
 from unichain.matrix_core import (
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -282,6 +283,20 @@ class TestOversizedInput:
         assert proc.returncode == 1, proc.stderr
         assert f"exceeds the cap {MAX_GEN_N}" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_table_commands_refuse_order_above_cap(self, monkeypatch):
+        # The n = 200 table would be 6 GB; the table cap refuses the order first.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        gen = run_cli(["gen", "--n", "200", "--seed", "1"])
+        assert gen.returncode == 0, gen.stderr
+        for command in ("invariants", "verify"):
+            proc = run_cli(
+                [command], stdin=gen.stdout, timeout=60, preexec_fn=_limit_address_space
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert f"over the cap {MAX_TABLE_ENTRIES}" in proc.stderr
+            assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestSmallOrders:

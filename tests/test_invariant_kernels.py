@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from helpers import texture_matrix
-from unichain.invariants import panel_lattice, plaquette, plaquette_table, triangle_areas
+from unichain.invariants import (
+    MAX_TABLE_ENTRIES,
+    panel_lattice,
+    plaquette,
+    plaquette_table,
+    triangle_areas,
+)
 from unichain.matrix_core import DomainError, haar_random
 
 
@@ -32,18 +38,24 @@ IDS = [name for name, _ in INPUTS]
 MATRICES = [x for _, x in INPUTS]
 
 
+def scalar_sides(u, v):
+    """Polygon sides u_j conj(v_j) as Python complex products."""
+    return [complex(p) * complex(q).conjugate() for p, q in zip(u, v)]
+
+
 def scalar_quartet(x, rows, cols):
-    """V_aj V_bk conj(V_ak) conj(V_bj) as a chain of Python complex products."""
+    """V_aj V_bk conj(V_ak) conj(V_bj) as the Python product of two sides,
+    (V_aj conj(V_bj)) conj(V_ak conj(V_bk))."""
     (a, b), (j, k) = ((i - 1 for i in rows), (i - 1 for i in cols))
-    v = [[complex(z) for z in row] for row in x]
-    return v[a][j] * v[b][k] * v[a][k].conjugate() * v[b][j].conjugate()
+    sides = scalar_sides(x[a], x[b])
+    return sides[j] * sides[k].conjugate()
 
 
 def scalar_shoelace(sides):
-    """Polygon area from its edges, vertex by vertex."""
+    """Polygon area from its Python complex edges, vertex by vertex."""
     total, vertex = 0.0, 0j
     for side in sides:
-        nxt = vertex + complex(side)
+        nxt = vertex + side
         total += (vertex.conjugate() * nxt).imag
         vertex = nxt
     return abs(0.5 * total)
@@ -80,8 +92,11 @@ def test_panels_equal_four_element_formula(x):
 def test_areas_equal_scalar_shoelace(x):
     n = x.shape[0]
     expected = [
-        (("rows", a, b), scalar_shoelace(x[a - 1, :] * np.conj(x[b - 1, :]))) for a, b in pairs(n)
-    ] + [(("cols", j, k), scalar_shoelace(x[:, j - 1] * np.conj(x[:, k - 1]))) for j, k in pairs(n)]
+        (("rows", a, b), scalar_shoelace(scalar_sides(x[a - 1], x[b - 1]))) for a, b in pairs(n)
+    ] + [
+        (("cols", j, k), scalar_shoelace(scalar_sides(x[:, j - 1], x[:, k - 1])))
+        for j, k in pairs(n)
+    ]
     got = triangle_areas(x)
     assert [label for label, _ in got] == [label for label, _ in expected]
     assert all(type(i) is int for (_, *idx), _ in got for i in idx)
@@ -95,6 +110,11 @@ class TestTableContract:
             assert t.keys() == [(r, c) for r in pairs(n) for c in pairs(n)]
             m = n * (n - 1) // 2
             assert len(t) == m * m and t.values.shape == (m, m)
+
+    def test_order_cap(self):
+        assert len(plaquette_table(haar_random(64, 1))) == MAX_TABLE_ENTRIES
+        with pytest.raises(DomainError, match=f"over the cap {MAX_TABLE_ENTRIES}"):
+            plaquette_table(haar_random(65, 1))
 
     def test_values_read_only(self):
         t = plaquette_table(haar_random(4, 3))

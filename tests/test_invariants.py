@@ -122,6 +122,49 @@ class TestEpsilonStructure:
                     assert abs(t.im(rows, cols) - sign * j) < 1e-13
 
 
+def _side_identity_inputs():
+    cases = []
+    for n in (3, 5, 8):
+        cases += [(f"haar{n}-{seed}", haar_random(n, 200 + seed)) for seed in (0, 1)]
+        perm = np.random.default_rng(n).permutation(n)
+        cases.append((f"perm{n}", np.eye(n, dtype=complex)[perm]))
+    cases += [(f"texture-{seed}", texture_matrix(np.random.default_rng(seed))) for seed in (0, 1)]
+    return cases
+
+
+SIDE_CASES = _side_identity_inputs()
+
+
+class TestSideIdentities:
+    """Q_ab,jk = p_ab(j) conj(p_ab(k)) with the sides p_ab(j) = V_aj conj(V_bj)
+    of a closed polygon, for every n."""
+
+    @pytest.mark.parametrize("x", [x for _, x in SIDE_CASES], ids=[name for name, _ in SIDE_CASES])
+    def test_row_sums_close_the_polygon(self, x):
+        # sum_{k != j} Q_ab,jk = p_ab(j) conj(-p_ab(j)) = -|V_aj|^2 |V_bj|^2, imaginary part 0
+        n = x.shape[0]
+        t = plaquette_table(x)
+        for a, b in combinations(range(1, n + 1), 2):
+            for j in range(1, n + 1):
+                total = sum(t.value((a, b), (j, k)) for k in range(1, n + 1) if k != j)
+                expected = -abs(x[a - 1, j - 1]) ** 2 * abs(x[b - 1, j - 1]) ** 2
+                assert abs(total.real - expected) <= 1e-15
+                assert abs(total.imag) <= 1e-15
+
+    @pytest.mark.parametrize("x", [x for _, x in SIDE_CASES], ids=[name for name, _ in SIDE_CASES])
+    def test_polygon_areas_from_the_table(self, x):
+        # area = 1/2 |sum_{j<k} J_ab,jk| for rows (a, b); 1/2 |sum_{a<b} J_ab,jk| for columns (j, k)
+        n = x.shape[0]
+        t = plaquette_table(x)
+        pairs = list(combinations(range(1, n + 1), 2))
+        for (kind, i, j), area in triangle_areas(x):
+            if kind == "rows":
+                total = sum(t.im((i, j), cols) for cols in pairs)
+            else:
+                total = sum(t.im(rows, (i, j)) for rows in pairs)
+            assert abs(area - abs(total) / 2) <= 1e-15
+
+
 class TestSextetReduction:
     def test_identity_matrix(self):
         # pivot V[2,2] = 1 with rows (1,2,3), cols (2,1,3)
