@@ -267,6 +267,7 @@ def _verify_checks(x: np.ndarray, tol: float, seed: int) -> list:
     record("unitarity", defect, tol)
     if defect > tol:
         return checks  # nothing downstream is defined
+    inv._table_size(n)  # refuse an oversized table before the chain checks run
 
     d = rp.decompose(x, tol=tol)
     record("round_trip", mc.max_abs_diff(rp.compose(d), x), 10 * tol)

@@ -184,13 +184,19 @@ def _row_blocks(n: int):
         yield slice(start, start + n - 1 - a)
 
 
+def _table_size(n: int) -> int:
+    """The m = n(n-1)/2 pairs of an order-n table; refuses m^2 over ``MAX_TABLE_ENTRIES``."""
+    m = n * (n - 1) // 2
+    if m * m > MAX_TABLE_ENTRIES:
+        raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
+    return m
+
+
 def plaquette_table(x) -> PlaquetteTable:
     """All canonical plaquettes of a unitary of order at most 64 (``MAX_TABLE_ENTRIES``)."""
     x = require_unitary(x)
     n = x.shape[0]
-    m = n * (n - 1) // 2
-    if m * m > MAX_TABLE_ENTRIES:
-        raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
+    m = _table_size(n)
     # Row and column pairs share ``combinations`` order; one m-by-n side matrix.
     j, k = np.triu_indices(n, 1)
     sr, si = _sides(x.real, x.imag, j, k)

@@ -18,9 +18,12 @@ exponential series terminates:  exp(i t G) = I + i sin t G - (1 - cos t) G^2.
 This module builds the factors, composes chains, inverts the construction
 (peeling an arbitrary unitary into canonical parameters), reorders factors
 (a lower-order factor tunnels through a higher-order one, rotating the
-latter's characteristic vector), and fixes the phase gauge.  Every product
-with a factor goes through :func:`apply_factor`, which uses the rank-2
-form; :func:`block` and :func:`embed` are the dense reference forms.
+latter's characteristic vector; into any order at once, a'_k = L_t^-1 L_s a_k
+with L_s, L_t the products of the lower-order factors left of k in the source
+and the target, in two sweeps of O(n) kernel calls), and fixes the phase
+gauge.  Every product with a factor goes through :func:`apply_factor`,
+which uses the rank-2 form; :func:`block` and :func:`embed` are the dense
+reference forms.
 """
 
 from __future__ import annotations
@@ -364,58 +367,47 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     """Rearrange a chain into the *target* order sequence.
 
     *target* must be a permutation of {2, ..., n}; the composed matrix is
-    unchanged and the multiset of angles is preserved exactly.  Each wanted
-    factor f moves left along the adjacent-swap path of :func:`reorder_swap`,
-    the one-pair form of the rule, but run by run: each maximal run of
-    higher-order factors that f crosses is rotated by one kernel call with
-    f's inverse block, and each lower-order factor l that f crosses rotates
-    f's own vector by l's block.  The vectors are the zero-padded columns
-    of one array; each rotated factor is rebuilt once at the end, and a
-    factor that no crossing touched is passed through as the same object.
+    unchanged and the angles are kept exactly.  A :func:`reorder_swap` never
+    changes its lower-order factor, so the order-k vector becomes
+    a'_k = L_t^-1 L_s a_k, with L_s (L_t) the product of the lower-order
+    source (target) factors left of k.  Two sweeps over the zero-padded
+    vector columns apply them (each factor's block right to left over the
+    source; its inverse, with its final vector, left to right over the
+    target): at most 2(n - 2) kernel calls, n - 2 for a monotone target.
+    Factors whose order relative to every lower-order factor is kept come
+    back as the same objects.
     """
     target = [int(k) for k in target]
     n = d.ambient_n
     if sorted(target) != list(range(2, n + 1)):
         raise DomainError(f"target {target} is not a permutation of 2..{n}")
     by_order = {f.order_k: f for f in d.factors}
-    # Column k - 2 holds the order-k vector; a block of order r touches only
-    # the first r rows, so the padding of every higher order stays zero.
+    source = [f.order_k for f in d.factors]
+    higher = ~np.tri(n - 1, dtype=bool)
+    # Index k - 2 is order k; entry [l, k]: k is above l and right of it (source, target).
+    s_up, t_up = (higher & (p[:, None] < p) for p in (np.argsort(source), np.argsort(target)))
+    moved = (s_up != t_up).any(axis=0)  # some lower order changed sides of k
+    # Column k - 2 holds the order-k vector; a block of order l touches only
+    # the first l rows, so the padding of every higher order stays zero.
     chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
     for k, f in by_order.items():
         chars[: k - 1, k - 2] = f.char
-    touched = set()  # orders whose vector some crossing rotated
-    dirty = set()  # rotated since last normalised: rescale before rotating others
 
-    def unit(k):
-        v = chars[: k - 1, k - 2]  # a view: rotations write through it
-        if k in dirty:
-            v /= np.linalg.norm(v)
-            dirty.discard(k)
-        return v
+    def sweep(up, k, theta, a):  # the block onto the moved columns flagged in row k - 2
+        cols = (up[k - 2] & moved).nonzero()[0]
+        if cols.size:
+            chars[:k, cols] = _apply_block(theta, a, chars[:k, cols])
 
-    seq = [f.order_k for f in d.factors]
-    for pos, want in enumerate(target):
-        j = seq.index(want, pos)
-        theta = by_order[want].theta
-        a = unit(want)
-        run = []  # orders of the higher-order run that f is crossing
-        # Walk right to left; a sentinel order 0 closes the last run.
-        for k in seq[pos:j][::-1] + [0]:
-            if k > want:
-                run.append(k)
-                continue
-            if run:
-                cols = [r - 2 for r in run]
-                chars[:want, cols] = _apply_block(-theta, unit(want), chars[:want, cols])
-                dirty.update(run)
-                touched.update(run)
-                run = []
-            if k:
-                a[:] = _apply_block(by_order[k].theta, unit(k), a)
-                dirty.add(want)
-                touched.add(want)
-        seq[pos : j + 1] = [want] + seq[pos:j]
-    out = [by_order[k].with_char(unit(k).copy()) if k in touched else by_order[k] for k in target]
+    for k in reversed(source):
+        sweep(s_up, k, by_order[k].theta, by_order[k].char)
+    for k in target:
+        a = by_order[k].char
+        if moved[k - 2]:  # final: every lower-order target factor left of k is applied
+            a = chars[: k - 1, k - 2]
+            a /= np.linalg.norm(a)
+        sweep(t_up, k, -by_order[k].theta, a)
+    out = [by_order[k].with_char(chars[: k - 1, k - 2].copy()) if moved[k - 2] else by_order[k]
+           for k in target]
     return replace(d, factors=tuple(out), order=infer_order(target))
 
 

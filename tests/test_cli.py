@@ -298,6 +298,19 @@ class TestOversizedInput:
             assert f"over the cap {MAX_TABLE_ENTRIES}" in proc.stderr
             assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    def test_verify_refuses_order_above_cap_before_decomposing(self, tmp_path, capsys, monkeypatch):
+        # The table cap is checked right after unitarity, before the chain checks.
+        from unichain import recursive_param
+        from unichain.matrix_core import haar_random
+
+        def decompose(*args, **kwargs):
+            raise AssertionError("verify decomposed an order the table cap refuses")
+
+        monkeypatch.setattr(recursive_param, "decompose", decompose)
+        path = write_matrix(tmp_path, "n200.json", haar_random(200, 1))
+        assert main(["verify", "--in", path]) == 1
+        assert f"over the cap {MAX_TABLE_ENTRIES}" in capsys.readouterr().err
+
 
 class TestSmallOrders:
     def test_verify_accepts_1x1(self):

@@ -448,7 +448,7 @@ class TestReorderSwap:
 
 
 def _swap_fold(d, target):
-    """The adjacent-swap path of reorder_chain, one public reorder_swap per pair."""
+    """The adjacent-swap path to *target*, one public reorder_swap per pair."""
     seq = list(d.factors)
     for pos, want in enumerate(target):
         j = next(i for i in range(pos, len(seq)) if seq[i].order_k == want)
@@ -506,13 +506,35 @@ class TestReorderChain:
             for target in permutations(range(2, n + 1)):
                 assert_matches_swap_fold(d, target)
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_matches_swap_fold_monotone(self, n):
         rng = np.random.Generator(np.random.PCG64(50 + n))
-        for order in (ASCENDING, DESCENDING):
-            d = random_chain(rng, n, order)
+        for d in [random_chain(rng, n, order) for order in (ASCENDING, DESCENDING)]:
             assert_matches_swap_fold(d, range(2, n + 1))
             assert_matches_swap_fold(d, range(n, 1, -1))
+            for _ in range(3 if n <= 32 else 0):  # mixed targets
+                assert_matches_swap_fold(d, [int(k) for k in rng.permutation(np.arange(2, n + 1))])
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_kernel_calls_linear_in_n(self, n, monkeypatch):
+        import unichain.recursive_param as rp
+
+        calls = []
+        kernel = rp._apply_block
+        monkeypatch.setattr(rp, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
+
+        def count(d, target):
+            calls.clear()
+            reorder_chain(d, target)
+            return len(calls)
+
+        rng = np.random.Generator(np.random.PCG64(70 + n))
+        asc, desc = (random_chain(rng, n, order) for order in (ASCENDING, DESCENDING))
+        assert count(desc, range(2, n + 1)) == n - 2
+        assert count(asc, range(n, 1, -1)) == n - 2
+        for d in (asc, desc):
+            for _ in range(5):
+                assert count(d, rng.permutation(np.arange(2, n + 1))) <= 2 * (n - 2)
 
     def test_matches_swap_fold_edge_parameters(self):
         from itertools import permutations
