@@ -17,6 +17,7 @@ its generator, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -145,7 +146,15 @@ def haar_random(n: int, seed: int) -> np.ndarray:
 #
 # A complex number is the pair [re, im].  Matrix files are
 # {"n": int, "entries": [[re, im], ...]} with entries in row-major order.
-# Parsers reject wrong lengths, non-pairs and non-finite numbers.
+# Parsers reject wrong lengths, non-pairs, non-finite numbers and orders
+# that are not JSON integers.
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON document; a bool, float or string is a :class:`StructureError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def complex_to_pairs(values) -> list:
@@ -183,7 +192,7 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise StructureError("matrix document must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "'n'")
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"matrix document missing/invalid field: {exc}") from exc

@@ -23,13 +23,15 @@ with L_s, L_t the products of the lower-order factors left of k in the source
 and the target, in two sweeps of O(n) kernel calls), and fixes the phase
 gauge.  Every product with a factor goes through :func:`apply_factor`,
 which uses the rank-2 form; :func:`block` and :func:`embed` are the dense
-reference forms.
+reference forms.  A chain is stored as arrays (see :class:`Decomposition`)
+and its factors are read-only views of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from .matrix_core import (
     StructureError,
     complex_from_pairs,
     complex_to_pairs,
+    json_int,
     maxnorm,
-    phase_matrix,
     phase_vector,
     require_square,
     require_unitary,
@@ -58,29 +60,52 @@ DESCENDING = "descending"
 CUSTOM = "custom"
 
 
+def _check_units(cols: np.ndarray) -> None:
+    """The characteristic-vector rule: every column of *cols* is finite with unit norm."""
+    off = np.abs(np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0)) - 1.0)
+    if not off.max(initial=0.0) <= CHAR_NORM_TOL:  # also catches nan and inf entries
+        j = int(np.argmax(~(off <= CHAR_NORM_TOL)))
+        if not np.all(np.isfinite(cols[:, j])):
+            raise DomainError("characteristic vector contains non-finite entries")
+        norm = float(np.linalg.norm(cols[:, j]))
+        raise DomainError(f"characteristic vector norm {norm!r} is not 1 within {CHAR_NORM_TOL}")
+
+
 def _as_char(a, k: int | None = None, dtype=np.complex128) -> np.ndarray:
-    """Validate a characteristic vector of *dtype* entries: 1-d, finite, unit norm."""
-    v = np.asarray(a, dtype=dtype).ravel()
+    """A validated copy of a characteristic vector of *dtype* entries: 1-d, finite, unit norm."""
+    v = np.array(a, dtype=dtype).ravel()
     if v.size < 1:
         raise DomainError("characteristic vector must have length >= 1")
     if k is not None and v.size != k - 1:
         raise DomainError(
             f"characteristic vector for order {k} must have length {k - 1}, got {v.size}"
         )
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= CHAR_NORM_TOL:  # also catches nan and inf entries
-        if not np.all(np.isfinite(v)):
-            raise DomainError("characteristic vector contains non-finite entries")
-        raise DomainError(f"characteristic vector norm {norm!r} is not 1 within {CHAR_NORM_TOL}")
+    _check_units(v[:, None])
     return v
+
+
+@functools.lru_cache(maxsize=8)
+def _padding(m: int) -> np.ndarray:
+    """The padding of an m-by-m vector array: the entries below the diagonal."""
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _check_chars(chars: np.ndarray) -> None:
+    """Validate a chain's zero-padded vector array, column k - 2 the order-k vector."""
+    if chars[_padding(len(chars))].any():
+        raise DomainError("characteristic vector array has nonzero padding")
+    _check_units(chars)
 
 
 @dataclass(frozen=True, eq=False)
 class Factor:
     """One order-k factor of an ambient n-by-n chain.
 
-    ``char`` is the unit characteristic vector of length k-1; ``theta``
-    the factor's angle in radians.
+    ``char`` is the unit characteristic vector of length k-1, a read-only
+    copy of the argument; ``theta`` the factor's angle in radians.  The
+    factors of a :class:`Decomposition` are views of its arrays instead.
     """
 
     ambient_n: int
@@ -158,21 +183,27 @@ def apply_factor(theta: float, a, m) -> np.ndarray:
     ``block(-theta, a.conj())``, so ``m @ block(theta, a)`` is
     ``apply_factor(-theta, a.conj(), m.T).T``.
     """
-    return _apply_block(theta, _as_char(a), m)
-
-
-def _apply_block(theta: float, a: np.ndarray, m) -> np.ndarray:
-    """:func:`apply_factor` for an already validated characteristic vector."""
+    a = _as_char(a)
     k = a.size + 1
     out = np.array(m, dtype=np.complex128)
     if out.ndim not in (1, 2) or out.shape[0] < k:
         raise ShapeError(f"expected a vector or matrix with >= {k} rows, got shape {out.shape}")
-    rows = out.reshape(out.shape[0], -1)
-    c, s = math.cos(theta), math.sin(theta)
-    p = a.conj() @ rows[: k - 1]
-    rows[: k - 1] += a[:, None] * ((c - 1.0) * p + s * rows[k - 1])
-    rows[k - 1] = c * rows[k - 1] - s * p
+    _apply_block(theta, a, out.reshape(out.shape[0], -1))
     return out
+
+
+def _apply_block(theta: float, a: np.ndarray, rows: np.ndarray) -> None:
+    """:func:`apply_factor` in place on the first len(a) + 1 rows of the 2-d
+    complex array *rows*, for an already validated characteristic vector."""
+    k = a.size + 1
+    c, s = math.cos(theta), math.sin(theta)
+    top, last = rows[: k - 1], rows[k - 1]
+    p = a.conj() @ top
+    q = (c - 1.0) * p
+    q += s * last
+    top += a[:, None] * q
+    last *= c
+    last -= s * p
 
 
 def embed(f: Factor) -> np.ndarray:
@@ -218,6 +249,12 @@ class Decomposition:
     left-to-right product order; ``order`` tags the sequence (ascending,
     descending, or custom for any other permutation) and must match it.
     The represented matrix is Phi(left) . prod(embed(f)) . Phi(right).
+
+    The chain is stored as read-only arrays: ``orders``, the product order;
+    ``thetas``, entry k - 2 the order-k angle; and ``chars``, the
+    zero-padded (n-1)-by-(n-1) array whose column k - 2 holds the order-k
+    vector.  The constructor copies its input into them and checks the
+    vectors once per chain; each of ``factors`` is then a view of them.
     """
 
     ambient_n: int
@@ -225,13 +262,15 @@ class Decomposition:
     left_phases: np.ndarray
     right_phases: np.ndarray
     order: str
+    orders: np.ndarray = field(init=False, repr=False)
+    thetas: np.ndarray = field(init=False, repr=False)
+    chars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.ambient_n
         if n < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
         factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
         ks = [f.order_k for f in factors]
         # Compare the count first: n comes from outside and may be huge.
         if len(ks) != n - 1 or sorted(ks) != list(range(2, n + 1)):
@@ -250,23 +289,53 @@ class Decomposition:
         ambiguous = len(ks) <= 1
         if self.order != CUSTOM and not ambiguous and self.order != actual:
             raise StructureError(f"order tag {self.order!r} does not match sequence {ks}")
-        left = phase_vector(self.left_phases)
-        right = phase_vector(self.right_phases)
+        left = phase_vector(self.left_phases).copy()
+        right = phase_vector(self.right_phases).copy()
         if left.size != n or right.size != n:
             raise StructureError(
                 f"phase vectors must have length {n}, got {left.size} and {right.size}"
             )
-        left.setflags(write=False)
-        right.setflags(write=False)
-        object.__setattr__(self, "left_phases", left)
-        object.__setattr__(self, "right_phases", right)
+        thetas = np.zeros(n - 1)
+        chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
+        for f in factors:
+            thetas[f.order_k - 2] = f.theta
+            chars[: f.order_k - 1, f.order_k - 2] = f.char
+        self._store(ks, thetas, chars, left, right)
+
+    @classmethod
+    def _of(cls, n, orders, thetas, chars, left, right, order, keep=None) -> "Decomposition":
+        """A chain on arrays this module built; *keep* maps orders to
+        existing factors to reuse instead of new views."""
+        d = object.__new__(cls)
+        d.__dict__.update(ambient_n=n, order=order)
+        d._store(orders, thetas, chars, left, right, keep)
+        return d
+
+    def _store(self, orders, thetas, chars, left, right, keep=None):
+        """Check *chars*, freeze the arrays and make the factors views of them."""
+        _check_chars(chars)
+        orders = np.array(orders, dtype=np.intp)
+        for a in (orders, thetas, chars, left, right):
+            a.setflags(write=False)
+        n, keep, ts = self.ambient_n, keep or {}, thetas.tolist()
+        factors = []
+        for k in orders.tolist():
+            f = keep.get(k)
+            if f is None:
+                f = object.__new__(Factor)
+                f.__dict__.update(ambient_n=n, order_k=k, theta=ts[k - 2], char=chars[: k - 1, k - 2])
+            factors.append(f)
+        self.__dict__.update(
+            factors=tuple(factors), left_phases=left, right_phases=right,
+            orders=orders, thetas=thetas, chars=chars,
+        )
 
     def factor(self, k: int) -> Factor:
         """The (unique) factor of order *k*."""
-        for f in self.factors:
-            if f.order_k == k:
-                return f
-        raise StructureError(f"no factor of order {k}")
+        orders = self.orders.tolist()
+        if k not in orders:
+            raise StructureError(f"no factor of order {k}")
+        return self.factors[orders.index(k)]
 
     @property
     def parameter_count(self) -> int:
@@ -279,9 +348,10 @@ def compose(d: Decomposition) -> np.ndarray:
 
     The factors are applied right to left onto Phi(right), O(n^3) in all.
     """
-    v = phase_matrix(d.right_phases)
-    for f in reversed(d.factors):
-        v = _apply_block(f.theta, f.char, v)
+    v = np.diag(np.exp(1j * d.right_phases))
+    thetas = d.thetas.tolist()
+    for k in reversed(d.orders.tolist()):
+        _apply_block(thetas[k - 2], d.chars[: k - 1, k - 2], v)
     return np.exp(1j * d.left_phases)[:, None] * v
 
 
@@ -305,42 +375,40 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
     """
     x = require_unitary(x, tol)
     n = x.shape[0]
-    m = x.copy()
-    factors = []
+    w = x.copy()  # M is its leading k-by-k block
+    thetas = np.zeros(n - 1)
+    chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
     betas = np.zeros(n)
     for k in range(n, 1, -1):
+        m = w[:k, :k]
         corner, col = m[k - 1, k - 1], m[: k - 1, k - 1]
         norm = math.sqrt(np.vdot(col, col).real)
         theta = math.atan2(norm, abs(corner))
         beta = float(np.angle(corner)) if corner != 0 else 0.0
+        u = chars[: k - 1, k - 2]
         if norm > 0:
-            u = np.exp(-1j * beta) * col / norm
+            u[:] = np.exp(-1j * beta) * col / norm
             u /= math.sqrt(np.vdot(u, u).real)  # norm is inexact once the squares of col underflow
         else:
-            u = np.zeros(k - 1, dtype=np.complex128)
             u[k - 2] = 1.0
-        factors.append(Factor(n, k, theta, u))
-        m = _apply_block(-theta, factors[-1].char, m)
-        phase = np.exp(1j * beta)
-        residual = max(
-            maxnorm(m[k - 1, : k - 1]),
-            maxnorm(m[: k - 1, k - 1]),
-            abs(m[k - 1, k - 1] - phase),
-        )
-        if residual > 10.0 * tol:
-            raise ConsistencyError(
-                f"factor extraction left residual {residual:.3e} at order {k}"
-            )
+        thetas[k - 2] = theta
+        _apply_block(-theta, u, m)
         betas[k - 1] = beta
-        m = m[: k - 1, : k - 1]
-    betas[0] = float(np.angle(m[0, 0]))
-    return Decomposition(
-        ambient_n=n,
-        factors=tuple(factors),
-        left_phases=np.zeros(n),
-        right_phases=betas,
-        order=DESCENDING,
+    betas[0] = float(np.angle(w[0, 0]))
+    # Step k leaves its residual in what it strips: row k left of the
+    # diagonal, column k above it, and the corner against e^{i beta_k}.
+    a = np.abs(w)
+    residuals = np.maximum(
+        np.where(_padding(n), np.maximum(a, a.T), 0.0).max(axis=1),
+        np.abs(np.diagonal(w) - np.exp(1j * betas)),
     )
+    failed = np.flatnonzero(residuals[1:] > 10.0 * tol)
+    if failed.size:  # the first order peeled, as a step-by-step check would find
+        k = int(failed[-1]) + 2
+        raise ConsistencyError(
+            f"factor extraction left residual {residuals[k - 1]:.3e} at order {k}"
+        )
+    return Decomposition._of(n, range(n, 1, -1), thetas, chars, np.zeros(n), betas, DESCENDING)
 
 
 def reorder_swap(left: Factor, right: Factor) -> tuple:
@@ -356,11 +424,18 @@ def reorder_swap(left: Factor, right: Factor) -> tuple:
     r, s = left.order_k, right.order_k
     if r == s:
         raise DomainError(f"cannot swap two factors of equal order {r}")
-    if r < s:
-        new_char = _apply_block(left.theta, left.char, right.char)
-        return right.with_char(new_char / np.linalg.norm(new_char)), left
-    new_char = _apply_block(-right.theta, right.char, left.char)
-    return right, left.with_char(new_char / np.linalg.norm(new_char))
+    lower, upper, theta = (left, right, left.theta) if r < s else (right, left, -right.theta)
+    v = upper.char[:, None].copy()
+    _apply_block(theta, lower.char, v)
+    rotated = upper.with_char(v[:, 0] / np.linalg.norm(v))
+    return (rotated, left) if r < s else (right, rotated)
+
+
+def _columns(row: np.ndarray):
+    """The flagged entries of a boolean row: a slice if they are contiguous."""
+    cols = row.nonzero()[0]
+    lo, hi = int(cols[0]), int(cols[-1]) + 1
+    return slice(lo, hi) if hi - lo == cols.size else cols
 
 
 def reorder_chain(d: Decomposition, target) -> Decomposition:
@@ -381,34 +456,41 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     n = d.ambient_n
     if sorted(target) != list(range(2, n + 1)):
         raise DomainError(f"target {target} is not a permutation of 2..{n}")
-    by_order = {f.order_k: f for f in d.factors}
-    source = [f.order_k for f in d.factors]
-    higher = ~np.tri(n - 1, dtype=bool)
-    # Index k - 2 is order k; entry [l, k]: k is above l and right of it (source, target).
-    s_up, t_up = (higher & (p[:, None] < p) for p in (np.argsort(source), np.argsort(target)))
+    ranks = np.argsort([d.orders, target], axis=1)  # of order k at k - 2 (source, target)
+    # Entry [l - 2, k - 2]: k is above l and right of it (source, target).
+    s_up, t_up = _padding(n - 1).T & (ranks[:, :, None] < ranks[:, None, :])
     moved = (s_up != t_up).any(axis=0)  # some lower order changed sides of k
+    src, thetas = d.chars, d.thetas.tolist()
     # Column k - 2 holds the order-k vector; a block of order l touches only
     # the first l rows, so the padding of every higher order stays zero.
-    chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
-    for k, f in by_order.items():
-        chars[: k - 1, k - 2] = f.char
+    chars = np.array(src, order="F")
 
-    def sweep(up, k, theta, a):  # the block onto the moved columns flagged in row k - 2
-        cols = (up[k - 2] & moved).nonzero()[0]
-        if cols.size:
-            chars[:k, cols] = _apply_block(theta, a, chars[:k, cols])
+    def plan(up):  # order l -> the moved columns right of l that its block reaches
+        work = up & moved
+        return {l + 2: _columns(work[l]) for l in work.any(axis=1).nonzero()[0].tolist()}
 
-    for k in reversed(source):
-        sweep(s_up, k, by_order[k].theta, by_order[k].char)
+    def sweep(theta, a, l, cols):
+        sub = chars[:l, cols]  # a view when cols is a slice, else a copy to write back
+        _apply_block(theta, a, sub)
+        if not isinstance(cols, slice):
+            chars[:l, cols] = sub
+
+    todo = plan(s_up)
+    for l in reversed(d.orders.tolist()):
+        if l in todo:
+            sweep(thetas[l - 2], src[: l - 1, l - 2], l, todo[l])
+    todo = plan(t_up)
     for k in target:
-        a = by_order[k].char
+        a = src[: k - 1, k - 2]
         if moved[k - 2]:  # final: every lower-order target factor left of k is applied
             a = chars[: k - 1, k - 2]
             a /= np.linalg.norm(a)
-        sweep(t_up, k, -by_order[k].theta, a)
-    out = [by_order[k].with_char(chars[: k - 1, k - 2].copy()) if moved[k - 2] else by_order[k]
-           for k in target]
-    return replace(d, factors=tuple(out), order=infer_order(target))
+        if k in todo:
+            sweep(-thetas[k - 2], a, k, todo[k])
+    keep = {f.order_k: f for f in d.factors if not moved[f.order_k - 2]}
+    return Decomposition._of(
+        n, target, d.thetas, chars, d.left_phases, d.right_phases, infer_order(target), keep
+    )
 
 
 def gauge_fix(d: Decomposition) -> Decomposition:
@@ -421,43 +503,35 @@ def gauge_fix(d: Decomposition) -> Decomposition:
     and the operation is idempotent.
     """
     n = d.ambient_n
-    if infer_order(f.order_k for f in d.factors) != ASCENDING:
+    if infer_order(d.orders.tolist()) != ASCENDING:
         raise DomainError("gauge fixing expects an ascending chain")
-    # Solve phi_{k-1} - phi_k = -arg(last component of char_k), phi_n = 0.
+    # Solve phi_{k-1} - phi_k = -arg(last component of char_k), phi_n = 0:
+    # the last components are the diagonal of the vector array, and 0.0 -
+    # the reversed running sum rounds like the running difference.
+    last = np.diagonal(d.chars)
     phi = np.zeros(n)
-    for k in range(n, 1, -1):
-        last = d.factors[k - 2].char[k - 2]
-        phi[k - 2] = phi[k - 1] - float(np.angle(last))
-    new_factors = []
-    for f in d.factors:
-        k = f.order_k
-        rot = np.exp(1j * (phi[: k - 1] - phi[k - 1]))
-        char = rot * f.char
-        char[k - 2] = abs(f.char[k - 2])  # exactly real, >= 0
-        if k == 2:
-            char[0] = 1.0
-        new_factors.append(f.with_char(char))
-    return Decomposition(
-        ambient_n=n,
-        factors=tuple(new_factors),
-        left_phases=wrap_angles(d.left_phases - phi),
-        right_phases=wrap_angles(d.right_phases + phi),
-        order=ASCENDING,
+    phi[:-1] = 0.0 - np.cumsum(np.angle(last)[::-1])[::-1]
+    # Row i of column k - 2 turns by e^{i (phi[i] - phi[k - 1])}; padding stays 0.
+    chars = np.multiply(np.exp(1j * (phi[:-1, None] - phi[1:])), d.chars, order="F")
+    # Exactly real, >= 0; hypot rounds like a scalar abs, numpy's complex abs may not.
+    np.fill_diagonal(chars, np.hypot(last.real, last.imag))
+    if n >= 2:
+        chars[0, 0] = 1.0
+    return Decomposition._of(
+        n, d.orders, d.thetas, chars,
+        wrap_angles(d.left_phases - phi), wrap_angles(d.right_phases + phi), ASCENDING,
     )
 
 
 def in_canonical_gauge(d: Decomposition) -> bool:
     """True iff *d* is ascending with phases pinned within ``DEFAULT_EQUALITY_TOL``."""
     tol = DEFAULT_EQUALITY_TOL
-    if infer_order(f.order_k for f in d.factors) != ASCENDING:
+    if infer_order(d.orders.tolist()) != ASCENDING:
         return False
-    for f in d.factors:
-        last = f.char[f.order_k - 2]
-        if abs(last.imag) > tol or last.real < -tol:
-            return False
-    if d.ambient_n >= 2 and abs(d.factor(2).char[0] - 1.0) > tol:
+    last = np.diagonal(d.chars)
+    if np.any(np.abs(last.imag) > tol) or np.any(last.real < -tol):
         return False
-    return True
+    return d.ambient_n < 2 or abs(d.chars[0, 0] - 1.0) <= tol
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -491,7 +565,7 @@ def decomposition_from_json_dict(obj) -> Decomposition:
     if not isinstance(obj, dict):
         raise StructureError("decomposition document must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "'n'")
         order = obj["order"]
         raw_factors = obj["factors"]
         alpha = [float(v) for v in obj["alpha"]]
@@ -503,7 +577,7 @@ def decomposition_from_json_dict(obj) -> Decomposition:
     factors = []
     for i, rf in enumerate(raw_factors):
         try:
-            k = int(rf["k"])
+            k = json_int(rf["k"], "'k'")
             theta = float(rf["theta"])
             raw_char = rf["char"]
         except (KeyError, TypeError, ValueError) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DomainError, StructureError
+from .matrix_core import DomainError, StructureError, json_int
 from .recursive_param import Factor, _apply_block, _as_char, embed
 
 
@@ -95,10 +95,11 @@ def compose_symmetric(p: SymmetricParams) -> np.ndarray:
     """
     n = p.n
     scale = 0.5 if p.half_angle else 1.0
+    chars = [1j * xs for xs in p.real_chars]
     v = np.eye(n, dtype=np.complex128)
     for k in (*range(2, n + 1), *range(n - 1, 1, -1)):
         theta = p.theta(k) if k == n else scale * p.theta(k)
-        v = _apply_block(theta, 1j * p.char(k), v)
+        _apply_block(theta, chars[k - 2], v)
     return v
 
 
@@ -183,7 +184,7 @@ def symmetric_params_from_json_dict(obj) -> SymmetricParams:
     if not isinstance(obj, dict):
         raise StructureError("symmetric-params document must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "'n'")
         thetas = tuple(float(t) for t in obj["thetas"])
         chars = tuple(np.asarray(xs, dtype=float) for xs in obj["chars"])
         half_angle = bool(obj.get("half_angle", True))

@@ -210,6 +210,18 @@ class TestDiagnosticsAndDeterminism:
         assert res.returncode == 1
         assert "entries" in res.stderr
 
+    def test_non_integer_orders_exit_1(self):
+        gen = run_cli(["gen", "--n", "3", "--seed", "1"])
+        doc = json.loads(run_cli(["decompose"], stdin=gen.stdout).stdout)
+        doc["n"] = 3.9
+        doc["factors"][0]["k"] = 3.5
+        matrix = json.loads(gen.stdout)
+        matrix["n"] = 3.0
+        for command, bad in (("compose", doc), ("decompose", matrix)):
+            out = run_cli([command], stdin=json.dumps(bad))
+            assert out.returncode == 1 and out.stdout == ""
+            assert "must be an integer" in out.stderr
+
     def test_byte_identical_output(self):
         a = run_cli(["gen", "--n", "4", "--seed", "123"])
         b = run_cli(["gen", "--n", "4", "--seed", "123"])

@@ -134,3 +134,10 @@ class TestMatrixJson:
     def test_rejects_missing_field(self):
         with pytest.raises(StructureError):
             matrix_from_json_dict({"entries": []})
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", True, None, [2]])
+    def test_order_must_be_a_json_integer(self, n):
+        doc = matrix_to_json_dict(haar_random(2, 13))
+        doc["n"] = n
+        with pytest.raises(StructureError):
+            matrix_from_json_dict(doc)

@@ -583,7 +583,44 @@ class TestReorderChain:
         assert infer_order([3, 2, 4]) == CUSTOM
 
 
+def _gauge_fix_by_factor(d):
+    """gauge_fix as a loop that rebuilds one Factor per order: the reference for the array form."""
+    n = d.ambient_n
+    phi = np.zeros(n)
+    for k in range(n, 1, -1):
+        last = d.factors[k - 2].char[k - 2]
+        phi[k - 2] = phi[k - 1] - float(np.angle(last))
+    factors = []
+    for f in d.factors:
+        k = f.order_k
+        char = np.exp(1j * (phi[: k - 1] - phi[k - 1])) * f.char
+        char[k - 2] = abs(f.char[k - 2])
+        if k == 2:
+            char[0] = 1.0
+        factors.append(f.with_char(char))
+    left, right = wrap_angles(d.left_phases - phi), wrap_angles(d.right_phases + phi)
+    return Decomposition(n, tuple(factors), left, right, ASCENDING)
+
+
 class TestGaugeFix:
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+    def test_bit_identical_to_factor_loop_and_idempotent(self, n):
+        rng = np.random.Generator(np.random.PCG64(35 + n))
+        chains = [reorder_chain(decompose(haar_random(n, 500 + i)), range(2, n + 1)) for i in range(3)]
+        chains += [edge_chain(rng, n) for _ in range(3)]
+        for d in chains:
+            got, ref = gauge_fix(d), _gauge_fix_by_factor(d)
+            assert [f.theta for f in got.factors] == [f.theta for f in ref.factors]
+            for a, b in zip(got.factors, ref.factors):
+                assert np.array_equal(a.char, b.char)
+            assert np.array_equal(got.left_phases, ref.left_phases)
+            assert np.array_equal(got.right_phases, ref.right_phases)
+            again = gauge_fix(got)
+            for a, b in zip(again.factors, got.factors):
+                assert np.array_equal(a.char, b.char)
+            for a, b in ((again.left_phases, got.left_phases), (again.right_phases, got.right_phases)):
+                assert np.max(np.abs(np.angle(np.exp(1j * (a - b))))) <= 1e-15
+
     def test_canonical_input_unchanged(self):
         rng = np.random.Generator(np.random.PCG64(30))
         d = gauge_fix(random_chain(rng, 4))
@@ -630,7 +667,105 @@ class TestGaugeFix:
             gauge_fix(d)
 
 
+class TestChainStorage:
+    """A chain is stored as arrays; its factors are read-only views of them."""
+
+    def test_char_check_runs_once_per_chain(self, monkeypatch):
+        import unichain.recursive_param as rp
+
+        calls = []
+        for name in ("_as_char", "_check_units"):
+            check = getattr(rp, name, None)
+            if check is not None:
+                monkeypatch.setattr(
+                    rp, name, lambda *a, _check=check, _name=name: calls.append(_name) or _check(*a)
+                )
+        n = 64
+        x = haar_random(n, 64)
+        d = decompose(x)
+        asc = reorder_chain(d, range(2, n + 1))
+        y = compose(gauge_fix(asc))
+        assert max_abs_diff(y, x) < 1e-12
+        # One check per chain built (decompose, reorder_chain, gauge_fix), none per factor.
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_decompose_and_compose_apply_one_block_per_order(self, n, monkeypatch):
+        import unichain.recursive_param as rp
+
+        calls = []
+        kernel = rp._apply_block
+        monkeypatch.setattr(rp, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
+        d = decompose(haar_random(n, 8))
+        assert len(calls) == n - 1
+        calls.clear()
+        compose(d)
+        assert len(calls) == n - 1
+
+    def chains(self):
+        rng = np.random.Generator(np.random.PCG64(36))
+        d = decompose(haar_random(8, 9))
+        asc = reorder_chain(d, range(2, 9))
+        mixed = reorder_chain(asc, [5, 2, 8, 3, 7, 4, 6])
+        doc = decomposition_to_json_dict(mixed)
+        return [d, asc, mixed, gauge_fix(asc), random_chain(rng, 6), decomposition_from_json_dict(doc)]
+
+    def test_factors_read_the_chain_arrays(self):
+        for d in self.chains():
+            arrays = (d.orders, d.thetas, d.chars, d.left_phases, d.right_phases)
+            assert not any(a.flags.writeable for a in arrays)
+            assert d.orders.tolist() == [f.order_k for f in d.factors]
+            assert not np.tril(d.chars, -1).any()
+            for f in d.factors:
+                k = f.order_k
+                assert not f.char.flags.writeable
+                assert f.theta == d.thetas[k - 2]
+                assert np.array_equal(f.char, d.chars[: k - 1, k - 2])
+                assert d.factor(k) is f
+        for d in (decompose(haar_random(5, 10)), random_chain(np.random.Generator(np.random.PCG64(37)), 5)):
+            assert all(np.shares_memory(f.char, d.chars) for f in d.factors)
+
+    def test_constructor_copies_its_input(self):
+        rng = np.random.Generator(np.random.PCG64(38))
+        n = 5
+        chars = [random_char(rng, k - 1) for k in range(2, n + 1)]
+        left, right = rng.uniform(-math.pi, math.pi, n), rng.uniform(-math.pi, math.pi, n)
+        factors = tuple(Factor(n, k, 0.3 * k, a) for k, a in zip(range(2, n + 1), chars))
+        d = Decomposition(n, factors, left, right, ASCENDING)
+        before, stored = compose(d), d.chars.copy()
+        for a in (*chars, left, right):
+            a[:] = 7.0
+        assert np.array_equal(d.chars, stored)
+        assert np.array_equal(compose(d), before)
+
+    def test_chain_check_rules_and_messages(self):
+        import unichain.recursive_param as rp
+
+        good = decompose(haar_random(4, 11)).chars
+        rp._check_chars(good)
+        cases = [
+            ((0, 1), 0.5, "norm"),
+            ((1, 2), np.nan, "non-finite"),
+            ((2, 0), 1e-3, "padding"),
+        ]
+        for (i, j), value, message in cases:
+            bad = np.array(good)
+            bad[i, j] = value
+            with pytest.raises(DomainError, match=message):
+                rp._check_chars(bad)
+
+
 class TestDecompositionJson:
+    @pytest.mark.parametrize(
+        "n, k", [(3.9, 3.5), (3.9, 3), (3, 3.5), ("3", 3), (3, "3"), (True, 3), (3, True), (3.0, 3)]
+    )
+    def test_orders_must_be_json_integers(self, n, k):
+        doc = decomposition_to_json_dict(decompose(haar_random(3, 12)))
+        doc["n"] = n
+        doc["factors"][0]["k"] = k  # descending: the order-3 factor
+        with pytest.raises(StructureError, match="must be an integer"):
+            decomposition_from_json_dict(doc)
+
     def test_round_trip(self):
         x = haar_random(4, 55)
         d = decompose(x)

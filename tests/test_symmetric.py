@@ -134,6 +134,23 @@ class TestComposeSymmetric:
         assert max_abs_diff(x, x.T) < 1e-12
 
 
+class TestComposeSymmetricKernel:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_in_place_onto_one_array_with_each_vector_formed_once(self, n, monkeypatch):
+        import unichain.symmetric as sym
+
+        calls = []
+        kernel = sym._apply_block
+        monkeypatch.setattr(sym, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
+        p = random_params(np.random.Generator(np.random.PCG64(80 + n)), n)
+        v = compose_symmetric(p)
+        assert len(calls) == 2 * n - 3
+        assert all(rows is v for _, _, rows in calls)
+        for i in range(n - 2):  # order i + 2 appears at positions i and 2n - 4 - i
+            assert calls[i][1] is calls[2 * n - 4 - i][1]
+        assert max_abs_diff(v, v.T) <= 1e-12
+
+
 class TestV3SymClosed:
     def test_all_zero_angles(self):
         assert max_abs_diff(v3sym_closed(0.0, 0.0, [0.6, 0.8]), np.eye(3)) == 0.0
@@ -257,3 +274,10 @@ class TestSymmetricJson:
     def test_rejects_missing_field(self):
         with pytest.raises(StructureError):
             symmetric_params_from_json_dict({"n": 3, "chars": [[1.0]]})
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4", True])
+    def test_order_must_be_a_json_integer(self, n):
+        doc = symmetric_params_to_json_dict(random_params(np.random.Generator(np.random.PCG64(11)), 4))
+        doc["n"] = n
+        with pytest.raises(StructureError, match="must be an integer"):
+            symmetric_params_from_json_dict(doc)
