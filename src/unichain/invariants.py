@@ -19,7 +19,9 @@ notation for mixing matrices.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -50,6 +52,9 @@ RELATION_COND_LIMIT = 1e12
 TEXTURE_VANISH_TOL = 1e-10
 #: Most entries ``plaquette_table`` builds: the n = 64 table, 2016^2 entries (62 MB).
 MAX_TABLE_ENTRIES = 2016**2
+#: Most entries one block of the plaquette-table and polygon-area kernels computes at once:
+#: small orders take one block, and every temporary of a block stays within 64 KB.
+_BLOCK_ENTRIES = 8192
 
 
 def count_independent_phases(n: int) -> int:
@@ -60,8 +65,12 @@ def count_independent_phases(n: int) -> int:
 
 
 def _check_indices(idx, n: int, what: str) -> tuple:
-    """The 1-based indices *idx* as a tuple of ints, checked to lie in 1..n and differ."""
-    out = tuple(int(i) for i in idx)
+    """The 1-based indices *idx* as a tuple of ints, checked to be integers (numpy integers
+    count, bools do not) in 1..n and distinct."""
+    out = tuple(idx)
+    if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in out):
+        raise DomainError(f"{what} indices must be integers, got {idx}")
+    out = tuple(int(i) for i in out)
     if not all(1 <= i <= n for i in out):
         raise DomainError(f"{what} indices {idx} out of range 1..{n}")
     if len(set(out)) != len(out):
@@ -69,20 +78,52 @@ def _check_indices(idx, n: int, what: str) -> tuple:
     return out
 
 
-def _mul(ar, ai, br, bi) -> tuple:
-    """(re, im) of (ar + i ai)(br + i bi), in Python's scalar order of operations."""
+def _mul_conj(ar, ai, br, bi) -> tuple:
+    """(re, im) of (ar + i ai) conj(br + i bi), bit for bit Python's complex product: its
+    ar br - ai (-bi) and ar (-bi) + ai br round exactly as the sums below, since negation is
+    exact.  numpy's vectorised complex multiply may fuse multiply-adds, so it is not used."""
     re = ar * br
-    re -= ai * bi
-    im = ar * bi
-    im += ai * br
+    re += ai * bi
+    im = ai * br
+    im -= ar * bi
     return re, im
 
 
 def _sides(re, im, a, b) -> tuple:
     """(re, im) of the polygon sides p = V[a] conj(V[b]) of V = re + i im, a and b row indices;
-    plaquettes are Q_ab,jk = p_ab(j) conj(p_ab(k)).  Entries equal Python's complex products bit
-    for bit (numpy's vectorised complex multiply may fuse multiply-adds, so it is not used)."""
-    return _mul(re[a], im[a], re[b], -im[b])
+    plaquettes are Q_ab,jk = p_ab(j) conj(p_ab(k))."""
+    return _mul_conj(re[a], im[a], re[b], im[b])
+
+
+def _read_only(*arrays) -> tuple:
+    """*arrays*, made read-only: the cached index arrays below are shared by every call."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple:
+    """The 0-based index pairs (j, k), j < k, of order n in ``combinations`` order."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+def _plaquette_value(x, rows, cols) -> complex:
+    """The plaquette of sorted 1-based *rows* and *cols* of the complex array *x*, from its
+    two sides, as the table kernel forms every entry."""
+    (a, b), (j, k) = rows, cols
+    sides = []  # re and im of the sides j and k
+    for c in (j, k):
+        p, q = x.item(a - 1, c - 1), x.item(b - 1, c - 1)
+        sides += _mul_conj(p.real, p.imag, q.real, q.imag)
+    return complex(*_mul_conj(*sides))
+
+
+def _oriented_value(x, rows, cols) -> complex:
+    """The plaquette of checked 1-based *rows* and *cols* in that orientation, as
+    :meth:`Plaquette.oriented` gives it: one swapped pair conjugates the canonical value."""
+    value = _plaquette_value(x, sorted(rows), sorted(cols))
+    return value.conjugate() if (rows[0] > rows[1]) != (cols[0] > cols[1]) else value
 
 
 @dataclass(frozen=True)
@@ -122,9 +163,7 @@ def plaquette(x, rows, cols) -> Plaquette:
     n = x.shape[0]
     rows = tuple(sorted(_check_indices(rows, n, "row")))
     cols = tuple(sorted(_check_indices(cols, n, "column")))
-    (a, b), (j, k) = rows, cols
-    sr, si = _sides(x.real, x.imag, a - 1, b - 1)
-    return Plaquette(rows, cols, complex(*_mul(sr[j - 1], si[j - 1], sr[k - 1], -si[k - 1])))
+    return Plaquette(rows, cols, _plaquette_value(x, rows, cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,19 +231,42 @@ def _table_size(n: int) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=8)
+def _table_blocks(n: int) -> tuple:
+    """Row pairs per block of the order-n table kernel, and the flat indices of a block's
+    gathers: entry (r, c) of a block takes sides j_c and k_c of the block's row pair r."""
+    j, k = _pair_indices(n)
+    step = max(1, _BLOCK_ENTRIES // max(j.size, 1))
+    offsets = np.arange(min(step, j.size))[:, None] * n
+    return (step, *_read_only(offsets + j, offsets + k))
+
+
 def plaquette_table(x) -> PlaquetteTable:
     """All canonical plaquettes of a unitary of order at most 64 (``MAX_TABLE_ENTRIES``)."""
     x = require_unitary(x)
     n = x.shape[0]
     m = _table_size(n)
     # Row and column pairs share ``combinations`` order; one m-by-n side matrix.
-    j, k = np.triu_indices(n, 1)
+    j, k = _pair_indices(n)
     sr, si = _sides(x.real, x.imag, j, k)
+    step, take_j, take_k = _table_blocks(n)
     values = np.empty((m, m), dtype=np.complex128)
-    # One block of row pairs (a, b > a) at a time keeps temporaries small.
-    for rows in _row_blocks(n):
+    # Blocks of whole row pairs, at most _BLOCK_ENTRIES entries: small tables take one block
+    # and large ones keep every temporary cache-sized.  Flat ``take`` gathers cost the same
+    # per entry however few row pairs a block holds.
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
         br, bi = sr[rows], si[rows]
-        values.real[rows], values.imag[rows] = _mul(br[:, j], bi[:, j], br[:, k], -bi[:, k])
+        tj, tk = take_j[: len(br)], take_k[: len(br)]
+        ar, ai, cr, ci = br.take(tj), bi.take(tj), br.take(tk), bi.take(tk)
+        # _mul_conj(ar, ai, cr, ci) in place on the fresh gathers, product for product.
+        re = ar * cr
+        cr *= ai
+        ai *= ci
+        re += ai
+        ar *= ci
+        cr -= ar
+        values.real[rows], values.imag[rows] = re, cr
     values.setflags(write=False)
     return PlaquetteTable(n=n, values=values)
 
@@ -235,8 +297,8 @@ def reduce_sextet(x, rows, cols) -> tuple:
         * x[c - 1, l - 1]
         * np.conj(x[a - 1, k - 1] * x[b - 1, l - 1] * x[c - 1, j - 1])
     ).imag
-    p1 = plaquette(x, (a, b), (j, k)).oriented((a, b), (j, k))
-    p2 = plaquette(x, (b, c), (j, l)).oriented((b, c), (j, l))
+    p1 = _oriented_value(x, (a, b), (j, k))
+    p2 = _oriented_value(x, (b, c), (j, l))
     rhs = (p1.imag * p2.real + p1.real * p2.imag) / pivot**2
     return float(lhs), float(rhs)
 
@@ -360,7 +422,7 @@ def panel_lattice(x) -> PanelLattice:
     # Sides of adjacent rows (a, a+1); panel (a, b) pairs sides b and b+1.
     sr, si = _sides(x.real, x.imag, slice(None, -1), slice(1, None))
     panels = np.empty((n - 1, n - 1), dtype=np.complex128)
-    panels.real, panels.imag = _mul(sr[:, :-1], si[:, :-1], sr[:, 1:], -si[:, 1:])
+    panels.real, panels.imag = _mul_conj(sr[:, :-1], si[:, :-1], sr[:, 1:], si[:, 1:])
     panels.setflags(write=False)
     return PanelLattice(n=n, panels=panels)
 
@@ -500,6 +562,16 @@ def closed_forms_n4(d: Decomposition) -> tuple:
 # --- unitarity triangles -----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _polygons(n: int) -> tuple:
+    """Column pairs of [V^T | V] holding each order-n polygon's side factors, row polygons
+    first, and the polygons' ("rows"|"cols", i, j) labels."""
+    a, b = _pair_indices(n)
+    pairs = list(zip((a + 1).tolist(), (b + 1).tolist()))
+    labels = tuple((kind, i, j) for kind in ("rows", "cols") for i, j in pairs)
+    return (*_read_only(np.concatenate((a, a + n)), np.concatenate((b, b + n))), labels)
+
+
 def triangle_areas(x) -> list:
     """Areas of the row- and column-orthogonality polygons.
 
@@ -510,21 +582,30 @@ def triangle_areas(x) -> list:
     """
     x = require_unitary(x)
     n = x.shape[0]
-    a, b = np.triu_indices(n, 1)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    out = []
-    # Columns are rows of the transpose; contiguous parts gather fast.  Cumulative
-    # sums of the sides are the vertices v_1 .. v_n (v_0 = 0 adds a zero term), and
-    # the shoelace terms Im(conj(v_i) v_i+1) are summed in order along each polygon.
-    for kind, v in (("rows", x), ("cols", x.T)):
-        vr, vi = _sides(np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag), a, b)
-        np.cumsum(vr, axis=1, out=vr)
-        np.cumsum(vi, axis=1, out=vi)
-        terms = vr[:, :-1] * vi[:, 1:]
-        terms -= vi[:, :-1] * vr[:, 1:]
-        areas = np.abs(0.5 * sum(terms.T, np.zeros(len(pairs))))
-        out += [((kind, i + 1, j + 1), area) for (i, j), area in zip(pairs, areas)]
-    return out
+    first, second, labels = _polygons(n)
+    # Rows are columns of the transpose, so one array covers both kinds: column p of the
+    # C-ordered sides holds polygon p's sides in order.  Cumulative sums down the columns
+    # are the vertices v_1 .. v_n (v_0 = 0 adds a zero term), and add.reduce over the
+    # leading axis adds the shoelace terms Im(conj(v_i) v_i+1) row after row, in order.
+    re = np.concatenate((x.real.T, x.real), axis=1)
+    im = np.concatenate((x.imag.T, x.imag), axis=1)
+    areas = np.empty(first.size)
+    # Polygons per block: an even count, as 2m is, so no block holds one polygon alone (the
+    # reduction of a single column would sum pairwise).
+    width = 2 * max(1, _BLOCK_ENTRIES // (2 * n))
+    for start in range(0, first.size, width):
+        cols = slice(start, start + width)
+        a, b = first[cols], second[cols]
+        vr, vi = _mul_conj(
+            re.take(a, axis=1), im.take(a, axis=1), re.take(b, axis=1), im.take(b, axis=1)
+        )
+        np.cumsum(vr, axis=0, out=vr)
+        np.cumsum(vi, axis=0, out=vi)
+        terms = vr[:-1] * vi[1:]
+        terms -= vi[:-1] * vr[1:]
+        np.add.reduce(terms, axis=0, out=areas[cols])
+    areas *= 0.5
+    return list(zip(labels, np.abs(areas).tolist()))
 
 
 # --- two-zero textures (n = 4) ----------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DomainError, StructureError, json_int
-from .recursive_param import Factor, _apply_block, _as_char, embed
+from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
 def sym_param_count(n: int) -> int:
@@ -65,19 +65,40 @@ class SymmetricParams:
             raise StructureError(
                 f"expected {self.n - 1} characteristic vectors, got {len(chars)}"
             )
-        validated = []
-        for i, xs in enumerate(chars):
-            v = _as_char(xs, i + 2, float)
-            v.setflags(write=False)
-            validated.append(v)
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "real_chars", tuple(validated))
+        object.__setattr__(self, "real_chars", _real_chars(chars))
 
     def theta(self, k: int) -> float:
         return self.thetas[k - 2]
 
     def char(self, k: int) -> np.ndarray:
         return self.real_chars[k - 2]
+
+
+def _real_chars(chars: tuple) -> tuple:
+    """Read-only copies of the real vectors of orders 2 .. len(chars) + 1, checked in one pass.
+
+    Row k - 2 of one zero-padded array holds the order-k vector, so its transpose has a
+    chain's layout and goes through the one unit-vector rule.  On any failure the vectors
+    are checked again one at a time, so the first failing vector raises its own error.
+    """
+    m = len(chars)
+    packed = np.zeros((m, m))
+    try:
+        for i, xs in enumerate(chars):
+            v = np.asarray(xs, dtype=float).ravel()
+            if v.size != i + 1:
+                raise DomainError("characteristic vector length")
+            packed[i, : i + 1] = v
+        _check_units(packed.T)
+    except (OverflowError, TypeError, ValueError):  # DomainError is a ValueError
+        vectors = tuple(_as_char(xs, k, float) for k, xs in enumerate(chars, start=2))
+    else:
+        packed.setflags(write=False)
+        vectors = tuple(packed[i, : i + 1] for i in range(m))
+    for v in vectors:
+        v.setflags(write=False)
+    return vectors
 
 
 def sym_factor(k: int, theta: float, xs, n: int) -> np.ndarray:

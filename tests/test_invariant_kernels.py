@@ -5,17 +5,21 @@ arrays; every entry must equal the scalar product or shoelace sum it
 stands for exactly (``==``), so outputs do not depend on the layout.
 """
 
+import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from helpers import texture_matrix
+from unichain import invariants
 from unichain.invariants import (
     MAX_TABLE_ENTRIES,
     panel_lattice,
     plaquette,
     plaquette_table,
+    reduce_sextet,
     triangle_areas,
 )
 from unichain.matrix_core import DomainError, haar_random
@@ -158,3 +162,104 @@ class TestTableContract:
         a, b = plaquette_table(haar_random(n, 5)), plaquette_table(haar_random(n, 6))
         diff = a.values - b.values  # the whole-array form, as abs(complex) per entry
         assert a.max_abs_diff(b) == float(np.max(np.hypot(diff.real, diff.imag)))
+
+
+# The kernels work in blocks of at most 8192 entries: the n = 16 table takes 2 blocks of row
+# pairs and the n = 24 table 10; the polygons of n = 24 take 2 blocks and those of n = 64 32.
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_blocked_table_equals_scalar_plaquettes(n):
+    x = haar_random(n, 11)
+    table = plaquette_table(x)
+    assert table.values.flags.c_contiguous and not table.values.flags.writeable
+    sides = {rows: scalar_sides(x[rows[0] - 1], x[rows[1] - 1]) for rows in pairs(n)}
+    expected = [
+        sides[rows][j - 1] * sides[rows][k - 1].conjugate()
+        for rows in pairs(n)
+        for j, k in pairs(n)
+    ]
+    assert table.values.ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_blocked_areas_equal_scalar_shoelace(n):
+    x = haar_random(n, 12)
+    expected = [scalar_shoelace(scalar_sides(x[a - 1], x[b - 1])) for a, b in pairs(n)] + [
+        scalar_shoelace(scalar_sides(x[:, j - 1], x[:, k - 1])) for j, k in pairs(n)
+    ]
+    assert [area for _, area in triangle_areas(x)] == expected
+
+
+def test_table_temporaries_bounded():
+    # Besides the 65 MB table itself, an n = 64 table needs only cache-sized blocks.
+    x = haar_random(64, 1)
+    tracemalloc.start()
+    try:
+        table = plaquette_table(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.values.nbytes <= 4_000_000
+
+
+class TestIndexArguments:
+    """Indices are integers, numpy's included; floats, bools and strings are refused, not
+    truncated or counted as 1."""
+
+    X = haar_random(5, 2)
+    BAD = [
+        ((1.9, 2.2), (1, 3)),
+        ((1, 2), (1.0, 3)),
+        ((True, 2), (1, 3)),
+        ((1, 2), (np.bool_(True), 3)),
+        (("1", 2), (1, 3)),
+    ]
+
+    @pytest.mark.parametrize("rows, cols", BAD)
+    def test_plaquette_and_table_refuse(self, rows, cols):
+        table = plaquette_table(self.X)
+        for lookup in (partial(plaquette, self.X), table.get, table.value):
+            with pytest.raises(DomainError, match="must be integers"):
+                lookup(rows, cols)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [((True, 2, 3), (1, 2, 4)), ((1, 2, 3), (1, 2.0, 4)), ((1, 2.5, 3), (1, 2, 4))],
+    )
+    def test_reduce_sextet_refuses(self, rows, cols):
+        with pytest.raises(DomainError, match="must be integers"):
+            reduce_sextet(self.X, rows, cols)
+
+    def test_numpy_integers_accepted(self):
+        table = plaquette_table(self.X)
+        rows, cols = (np.int64(4), np.int32(2)), (np.uint8(1), np.int16(5))
+        assert plaquette(self.X, rows, cols).value == plaquette(self.X, (4, 2), (1, 5)).value
+        assert table.value(rows, cols) == table.value((4, 2), (1, 5))
+        triple = (np.int64(2), np.int64(1), np.int64(4))
+        assert reduce_sextet(self.X, triple, triple) == reduce_sextet(self.X, (2, 1, 4), (2, 1, 4))
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 24])
+def test_sextet_reduction_from_oriented_plaquettes(n, monkeypatch):
+    # rhs equals the reduction written with plaquette().oriented(), bit for bit, while
+    # reduce_sextet itself forms its two plaquettes without calling plaquette().
+    x = haar_random(n, 13)
+    rng = np.random.default_rng(n)
+    cases = []
+    while len(cases) < 20:
+        rows = tuple(int(i) + 1 for i in rng.choice(n, 3, replace=False))
+        cols = tuple(int(i) + 1 for i in rng.choice(n, 3, replace=False))
+        (a, b, c), (j, k, l) = rows, cols
+        if abs(x[b - 1, j - 1]) > 1e-6:
+            p1 = plaquette(x, (a, b), (j, k)).oriented((a, b), (j, k))
+            p2 = plaquette(x, (b, c), (j, l)).oriented((b, c), (j, l))
+            rhs = (p1.imag * p2.real + p1.real * p2.imag) / abs(x[b - 1, j - 1]) ** 2
+            cases.append((rows, cols, float(rhs)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduce_sextet called plaquette()")
+
+    monkeypatch.setattr(invariants, "plaquette", forbidden)
+    for rows, cols, rhs in cases:
+        assert reduce_sextet(x, rows, cols)[1] == rhs

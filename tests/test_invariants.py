@@ -129,6 +129,8 @@ def _side_identity_inputs():
         perm = np.random.default_rng(n).permutation(n)
         cases.append((f"perm{n}", np.eye(n, dtype=complex)[perm]))
     cases += [(f"texture-{seed}", texture_matrix(np.random.default_rng(seed))) for seed in (0, 1)]
+    # An order whose table (7 blocks) and polygon (2 blocks) kernels run in several blocks.
+    cases.append(("haar22-blocks", haar_random(22, 200)))
     return cases
 
 

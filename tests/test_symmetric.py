@@ -252,6 +252,30 @@ class TestSymmetricParamsValidation:
         with pytest.raises(DomainError):
             SymmetricParams(3, (0.1, 0.2), ([1.0], [0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "chars, error, message",
+        [
+            # the first failing vector raises, whatever fails after it
+            (([2.0], [1.0], "x"), DomainError, "norm 2.0 is not 1"),
+            (([1.0], [1.0], [0.5, 0.5]), DomainError, "order 3 must have length 2, got 1"),
+            (([1.0], [np.nan, 1.0], [0.5]), DomainError, "non-finite"),
+            (([1.0], "ab", [0.5]), ValueError, "could not convert"),
+            (([1.0], [0.6, 0.8], [0.0, 0.0, 1.5]), DomainError, "norm 1.5 is not 1"),
+        ],
+    )
+    def test_first_failing_vector_reports(self, chars, error, message):
+        with pytest.raises(error, match=message):
+            SymmetricParams(4, (0.1, 0.2, 0.3), chars)
+
+    def test_vectors_checked_in_one_pass_are_read_only_copies(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        chars = [random_real_unit(rng, k - 1) for k in range(2, 9)]
+        p = SymmetricParams(8, tuple(rng.uniform(0.1, 1.4, 7)), chars)
+        for given, kept in zip(chars, p.real_chars):
+            assert kept.tolist() == given.tolist() and not kept.flags.writeable
+        chars[3][0] = 5.0
+        assert p.real_chars[3][0] != 5.0
+
 
 class TestDecomposeSymmetric:
     def test_round_trip_like_any_unitary(self):
