@@ -32,6 +32,10 @@ _EXIT_NUMERIC = 2
 
 #: Largest matrix order ``gen`` accepts; larger orders are refused before any allocation.
 MAX_GEN_N = 1024
+#: Largest entry of |V - V^T| with which ``symmetric`` passes its matrix.
+SYMMETRY_TOL = 1e-12
+#: Largest unitarity defect with which ``symmetric`` passes its matrix.
+SYMMETRIC_UNITARITY_TOL = 1e-11
 
 
 class ToleranceBreach(Exception):
@@ -229,7 +233,7 @@ def _cmd_symmetric(args) -> int:
     x = sym.compose_symmetric(params)
     sym_residual = mc.max_abs_diff(x, x.T)
     uni_residual = mc.unitarity_defect(x)
-    ok = sym_residual <= args.sym_tol and uni_residual <= args.uni_tol
+    ok = sym_residual <= SYMMETRY_TOL and uni_residual <= SYMMETRIC_UNITARITY_TOL
     payload = {
         "n": params.n,
         "half_angle": params.half_angle,
@@ -242,7 +246,7 @@ def _cmd_symmetric(args) -> int:
     if not ok:
         raise ToleranceBreach(
             f"symmetric construction residuals {sym_residual:.3e}/{uni_residual:.3e} "
-            f"exceed {args.sym_tol}/{args.uni_tol}"
+            f"exceed {SYMMETRY_TOL}/{SYMMETRIC_UNITARITY_TOL}"
         )
     return _EXIT_OK
 
@@ -406,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("symmetric", help="build and verify a symmetric unitary")
     _add_io(p)
-    p.add_argument("--sym-tol", type=float, default=1e-12)
-    p.add_argument("--uni-tol", type=float, default=1e-11)
     p.set_defaults(func=_cmd_symmetric)
 
     p = subs.add_parser("verify", help="run the identity suite on a matrix")
@@ -420,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad or missing flag, 0 after --help
+        return _EXIT_INVALID if exc.code else _EXIT_OK
     try:
         return args.func(args)
     except ToleranceBreach as exc:

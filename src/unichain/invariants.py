@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +50,8 @@ RELATION_ZERO_TOL = 1e-9
 RELATION_COND_LIMIT = 1e12
 #: Largest |imaginary part| a plaquette of a zero texture may have to count as vanishing.
 TEXTURE_VANISH_TOL = 1e-10
+#: Largest |order-2 scalar - 1| of a chain the closed forms accept as pinned to 1.
+PINNED_SCALAR_TOL = 1e-9
 #: Most entries ``plaquette_table`` builds: the n = 64 table, 2016^2 entries (62 MB).
 MAX_TABLE_ENTRIES = 2016**2
 #: Most entries one block of the plaquette-table and polygon-area kernels computes at once:
@@ -119,10 +121,9 @@ def _plaquette_value(x, rows, cols) -> complex:
     return complex(*_mul_conj(*sides))
 
 
-def _oriented_value(x, rows, cols) -> complex:
-    """The plaquette of checked 1-based *rows* and *cols* in that orientation, as
-    :meth:`Plaquette.oriented` gives it: one swapped pair conjugates the canonical value."""
-    value = _plaquette_value(x, sorted(rows), sorted(cols))
+def _orient(value: complex, rows, cols) -> complex:
+    """The canonical (sorted-pair) plaquette *value* in the orientation *rows*, *cols*: one
+    swapped pair conjugates it, two swaps or none leave it."""
     return value.conjugate() if (rows[0] > rows[1]) != (cols[0] > cols[1]) else value
 
 
@@ -148,13 +149,12 @@ class Plaquette:
         return self.value.imag
 
     def oriented(self, rows, cols) -> complex:
-        """Value for any orientation of the same row/column index sets."""
-        if set(rows) != set(self.rows) or set(cols) != set(self.cols):
+        """Value for any orientation of the same row and column index pairs."""
+        if sorted(rows) != list(self.rows) or sorted(cols) != list(self.cols):
             raise DomainError(
                 f"orientation {rows}/{cols} does not match plaquette {self.rows}/{self.cols}"
             )
-        flips = (tuple(rows) != self.rows) + (tuple(cols) != self.cols)
-        return self.value.conjugate() if flips == 1 else self.value
+        return _orient(self.value, tuple(rows), tuple(cols))
 
 
 def plaquette(x, rows, cols) -> Plaquette:
@@ -209,18 +209,12 @@ class PlaquetteTable:
         """Largest entrywise |difference| (``hypot``, as ``abs`` of a complex); 0.0 for n < 2."""
         if other.n != self.n:
             raise DomainError("tables belong to different matrix orders")
-        peaks = []
-        for rows in _row_blocks(self.n):  # bounded temporaries, exact maximum
+        step, peaks = _table_blocks(self.n)[0], []
+        for start in range(0, len(self.values), step):  # bounded temporaries, exact maximum
+            rows = slice(start, start + step)
             diff = self.values[rows] - other.values[rows]
             peaks.append(np.max(np.hypot(diff.real, diff.imag)))
         return float(np.max(peaks, initial=0.0))
-
-
-def _row_blocks(n: int):
-    """For each first row a, the slice of its row pairs (a, b > a), in ``combinations`` order."""
-    for a in range(n - 1):
-        start = a * (2 * n - a - 1) // 2
-        yield slice(start, start + n - 1 - a)
 
 
 def _table_size(n: int) -> int:
@@ -297,8 +291,10 @@ def reduce_sextet(x, rows, cols) -> tuple:
         * x[c - 1, l - 1]
         * np.conj(x[a - 1, k - 1] * x[b - 1, l - 1] * x[c - 1, j - 1])
     ).imag
-    p1 = _oriented_value(x, (a, b), (j, k))
-    p2 = _oriented_value(x, (b, c), (j, l))
+    p1, p2 = (
+        _orient(_plaquette_value(x, sorted(r), sorted(s)), r, s)
+        for r, s in (((a, b), (j, k)), ((b, c), (j, l)))
+    )
     rhs = (p1.imag * p2.real + p1.real * p2.imag) / pivot**2
     return float(lhs), float(rhs)
 
@@ -314,43 +310,34 @@ class OmegaSet:
     omegas: tuple
 
 
-def _ascending_chars(d: Decomposition) -> dict:
-    if infer_order(f.order_k for f in d.factors) != ASCENDING:
+def _ascending_chars(d: Decomposition) -> np.ndarray:
+    """The vector array of an ascending chain: column k - 2 holds the order-k vector."""
+    if infer_order(d.orders.tolist()) != ASCENDING:
         raise DomainError("expected an ascending chain")
-    return {f.order_k: f.char for f in d.factors}
+    return d.chars
 
 
 def omega_from_params(d: Decomposition) -> OmegaSet:
     """Assemble the invariant phases from component arguments.
 
-    For n = 4, with x the order-3 and y the order-4 characteristic
-    vectors: omega_1 = arg x2 - arg x1, omega_2 = arg y2 - arg y1,
-    omega_3 = arg x2 + arg y3 - arg y2.  For n = 5 the order-5 vector z
-    adds three more combinations.  Values are wrapped into (-pi, pi];
-    they are unchanged by the chain symmetries of :func:`apply_symmetry`.
+    With arg[i, k-2] the argument of component i+1 of the order-k vector,
+    the phases are the singles arg[1, k-2] - arg[0, k-2] for k = 3..n,
+    then the pairs arg[k-2, k-2] + arg[k-1, l-2] - arg[k-2, l-2] for
+    3 <= k < l <= n.  For n = 4, with x the order-3 and y the order-4
+    vector: arg x2 - arg x1, arg y2 - arg y1, arg x2 + arg y3 - arg y2.
+    Values are wrapped into (-pi, pi]; they are unchanged by the chain
+    symmetries of :func:`apply_symmetry`.
     """
-    if d.ambient_n not in (4, 5):
-        raise DomainError(f"omega phases are defined for n in {{4, 5}}, got n={d.ambient_n}")
-    chars = _ascending_chars(d)
-    px = np.angle(chars[3])
-    py = np.angle(chars[4])
-    if d.ambient_n == 4:
-        omegas = (
-            px[1] - px[0],
-            py[1] - py[0],
-            px[1] + py[2] - py[1],
-        )
-    else:
-        pz = np.angle(chars[5])
-        omegas = (
-            px[1] - px[0],
-            py[1] - py[0],
-            pz[1] - pz[0],
-            px[1] + py[2] - py[1],
-            px[1] + pz[2] - pz[1],
-            py[2] + pz[3] - pz[2],
-        )
-    return OmegaSet(n=d.ambient_n, omegas=tuple(wrap_angle(float(w)) for w in omegas))
+    n = d.ambient_n
+    if n not in (4, 5):
+        raise DomainError(f"omega phases are defined for n in {{4, 5}}, got n={n}")
+    arg = np.angle(_ascending_chars(d)).tolist()
+    orders = range(3, n + 1)
+    omegas = [arg[1][k - 2] - arg[0][k - 2] for k in orders] + [
+        arg[k - 2][k - 2] + arg[k - 1][l - 2] - arg[k - 2][l - 2]
+        for k, l in combinations(orders, 2)
+    ]
+    return OmegaSet(n=n, omegas=tuple(wrap_angle(w) for w in omegas))
 
 
 _SYMMETRIES = ("S1", "S2", "S3")
@@ -359,36 +346,24 @@ _SYMMETRIES = ("S1", "S2", "S3")
 def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
     """Transform chain parameters by one of the rephasing symmetries.
 
-    S1 multiplies the order-3 vector by e^{i phase} and compensates on
-    the last components rotated through it (y3, and z3 for n = 5); S2
-    does the same one order up; S3 (n = 5 only) rephases the order-5
-    vector.  The composed matrix changes only by external phase matrices,
-    so every plaquette is unchanged.
+    S_i, with k = i + 2, multiplies the order-k vector by e^{i phase} and
+    divides component k of every higher-order vector by it: S1 and S2 for
+    n = 4, S1 to S3 for n = 5.  The composed matrix changes only by
+    external phase matrices, so every plaquette is unchanged.
     """
     n = d.ambient_n
     if n not in (4, 5):
         raise DomainError(f"chain symmetries are defined for n in {{4, 5}}, got n={n}")
-    if which not in _SYMMETRIES or (which == "S3" and n == 4):
+    if which not in _SYMMETRIES[: n - 2]:
         raise DomainError(f"unsupported symmetry {which!r} for n={n}")
-    chars = {k: v.copy() for k, v in _ascending_chars(d).items()}
+    k = _SYMMETRIES.index(which) + 3
+    chars = np.asfortranarray(np.triu(_ascending_chars(d)))  # gauge_fix may pad with -0.0
     rot = np.exp(1j * phase)
-    if which == "S1":
-        chars[3] = chars[3] * rot
-        chars[4][2] = chars[4][2] / rot
-        if n == 5:
-            chars[5][2] = chars[5][2] / rot
-    elif which == "S2":
-        chars[4] = chars[4] * rot
-        if n == 5:
-            chars[5][3] = chars[5][3] / rot
-    else:
-        chars[5] = chars[5] * rot
+    chars[: k - 1, k - 2] *= rot
+    chars[k - 1 : k, k - 1 :] /= rot  # row k - 1 is absent for the top order k = n
     # Unit-phase multiplication preserves the norm to machine precision,
     # so the vectors are not renormalised.
-    new_factors = tuple(
-        f.with_char(chars[f.order_k]) if f.order_k in (3, 4, 5) else f for f in d.factors
-    )
-    return replace(d, factors=new_factors)
+    return Decomposition._of(n, d.orders, d.thetas, chars, d.left_phases, d.right_phases, d.order)
 
 
 # --- panel lattice and the six unitarity relations (n = 4) ------------------
@@ -512,9 +487,11 @@ def basis_solve_n4(x) -> dict:
 # --- closed forms from the chain parameters ---------------------------------
 
 
-def _require_pinned_order2(d: Decomposition, tol: float = 1e-9):
+def _require_pinned_order2(d: Decomposition) -> np.ndarray:
+    """The vector array of an ascending chain whose order-2 scalar is 1 within
+    ``PINNED_SCALAR_TOL``."""
     chars = _ascending_chars(d)
-    if abs(chars[2][0] - 1.0) > tol:
+    if abs(chars[0, 0] - 1.0) > PINNED_SCALAR_TOL:
         raise DomainError(
             "closed forms assume the order-2 characteristic scalar is pinned to 1 "
             "(canonical gauge); run gauge_fix first"
@@ -526,9 +503,8 @@ def closed_form_j_n3(d: Decomposition) -> float:
     """The unique invariant of a 3-by-3 chain: c2 c3 s2 s3^2 Im(conj(x1) x2)."""
     if d.ambient_n != 3:
         raise DomainError(f"expected n=3, got n={d.ambient_n}")
-    chars = _require_pinned_order2(d)
-    t2, t3 = d.factor(2).theta, d.factor(3).theta
-    x = chars[3]
+    x = _require_pinned_order2(d)[:, 1]
+    t2, t3 = d.thetas.tolist()
     scale = math.cos(t2) * math.cos(t3) * math.sin(t2) * math.sin(t3) ** 2
     return float(scale * (np.conj(x[0]) * x[1]).imag)
 
@@ -545,10 +521,10 @@ def closed_forms_n4(d: Decomposition) -> tuple:
     if d.ambient_n != 4:
         raise DomainError(f"expected n=4, got n={d.ambient_n}")
     chars = _require_pinned_order2(d)
-    t3, t4 = d.factor(3).theta, d.factor(4).theta
+    t3, t4 = d.thetas[1:].tolist()
     c3, s3 = math.cos(t3), math.sin(t3)
     c4, s4 = math.cos(t4), math.sin(t4)
-    x, y = np.abs(chars[3]), np.abs(chars[4])
+    x, y = np.abs(chars[:2, 1]), np.abs(chars[:, 2])
     w1, w2, w3 = omega_from_params(d).omegas
     p3434 = c3 * c4 * s3 * s4**2 * y[2] * (
         x[1] * y[1] * math.sin(w3) + x[0] * y[0] * math.sin(w3 + w2 - w1)
@@ -639,16 +615,9 @@ class ZeroTextureReport:
     col_map: tuple
 
 
-#: The eight triangle pairs of the standard texture frame.
-_TEXTURE_TRIANGLES = (
-    ("rows", 1, 2),
-    ("rows", 1, 3),
-    ("rows", 2, 4),
-    ("rows", 3, 4),
-    ("cols", 1, 2),
-    ("cols", 1, 3),
-    ("cols", 2, 4),
-    ("cols", 3, 4),
+#: The eight triangles of the standard texture frame: the same four pairs of rows and of columns.
+_TEXTURE_TRIANGLES = tuple(
+    (kind, i, j) for kind in ("rows", "cols") for i, j in ((1, 2), (1, 3), (2, 4), (3, 4))
 )
 
 
@@ -722,12 +691,12 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
     # then peel into an ascending canonical chain.
     calc = std[np.ix_((2, 1, 0, 3), (2, 1, 0, 3))]
     chain = gauge_fix(reorder_chain(decompose(calc), range(2, 5)))
-    t2, t3, t4 = (chain.factor(k).theta for k in (2, 3, 4))
+    t2, t3, t4 = chain.thetas.tolist()
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)
     c4, s4 = math.cos(t4), math.sin(t4)
-    xchar = chain.factor(3).char
-    im_x = (np.conj(xchar[0]) * xchar[1]).imag
+    x1, x2 = chain.chars[:2, 1]
+    im_x = (np.conj(x1) * x2).imag
     j_closed = c2 * c3 * c4 * s2 * s3**2 * im_x
     jp_closed = -c2 * c3 * c4 * s2 * s4**2 * im_x
     if s3 <= tol:

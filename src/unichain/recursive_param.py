@@ -304,8 +304,8 @@ class Decomposition:
 
     @classmethod
     def _of(cls, n, orders, thetas, chars, left, right, order, keep=None) -> "Decomposition":
-        """A chain on arrays this module built; *keep* maps orders to
-        existing factors to reuse instead of new views."""
+        """A chain on arrays the package built, shapes unchecked; *keep* maps
+        orders to existing factors to reuse instead of new views."""
         d = object.__new__(cls)
         d.__dict__.update(ambient_n=n, order=order)
         d._store(orders, thetas, chars, left, right, keep)

@@ -246,6 +246,27 @@ class TestDiagnosticsAndDeterminism:
         assert res.returncode == 0 and res.stdout == ""
         assert json.loads(out.read_text())["n"] == 3
 
+    def test_bad_flags_exit_1(self, capsys):
+        bad = (
+            ["gen", "--n", "x", "--seed", "1"],  # not an integer
+            ["gen", "--seed", "1"],  # missing required flag
+            ["transmogrify"],  # unknown subcommand
+            [],  # no subcommand
+            ["decompose", "--order", "sideways"],  # not a choice
+            ["symmetric", "--sym-tol", "1e-3"],  # removed flag
+        )
+        for argv in bad:
+            assert main(argv) == 1, argv
+            out = capsys.readouterr()
+            assert out.out == "" and "error" in out.err, argv
+        res = run_cli(["gen", "--n", "x", "--seed", "1"])
+        assert res.returncode == 1 and res.stdout == "" and "invalid int" in res.stderr
+
+    def test_help_exits_0(self):
+        for argv in (["--help"], ["gen", "--help"]):
+            res = run_cli(argv)
+            assert res.returncode == 0 and res.stdout.startswith("usage: unichain")
+
 
 class TestDirectMain:
     def test_main_returns_exit_code(self, capsys, tmp_path):

@@ -157,7 +157,7 @@ class TestTableContract:
         expected = max(abs(t4.value(*k) - other.value(*k)) for k in t4.keys())
         assert t4.max_abs_diff(other) == expected
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 24])
     def test_max_abs_diff_row_blocks_exact(self, n):
         a, b = plaquette_table(haar_random(n, 5)), plaquette_table(haar_random(n, 6))
         diff = a.values - b.values  # the whole-array form, as abs(complex) per entry

@@ -73,6 +73,13 @@ class TestPlaquette:
         assert base.oriented((1, 3), (4, 2)) == base.value.conjugate()
         assert base.oriented((3, 1), (4, 2)) == base.value
 
+    def test_orientation_must_be_the_same_pairs(self):
+        base = plaquette(haar_random(4, 3), (1, 3), (2, 4))
+        bad = (((1, 3, 1), (2, 4)), ((3, 1), (4, 2, 2)), ((1, 2), (2, 4)), ((3,), (2, 4)))
+        for rows, cols in bad:
+            with pytest.raises(DomainError):
+                base.oriented(rows, cols)
+
     def test_direct_value_any_orientation(self):
         x = haar_random(5, 4)
         for rows in ((2, 4), (4, 2)):
@@ -225,6 +232,28 @@ class TestOmega:
         assert abs(om[1]) < 1e-15
         assert abs(om[2] - 0.3) < 1e-15
 
+    def test_direct_substitution_n5(self):
+        # Hand-set component phases of the order-3, -4 and -5 vectors x, y, z.
+        px, py, pz = (0.1, 0.3), (0.2, -0.1, 0.4), (0.05, 0.25, -0.2, 3.0)
+        moduli = ((0.6, 0.8), (0.48, 0.6, 0.64), (0.5, 0.5, 0.5, 0.5))
+        factors = (Factor(5, 2, 0.4, [1.0]),) + tuple(
+            Factor(5, k, 0.3 * k, np.array(m) * np.exp(1j * np.array(p)))
+            for k, m, p in zip((3, 4, 5), moduli, (px, py, pz))
+        )
+        d = Decomposition(5, factors, np.zeros(5), np.zeros(5), ASCENDING)
+        expected = (
+            px[1] - px[0],
+            py[1] - py[0],
+            pz[1] - pz[0],
+            px[1] + py[2] - py[1],
+            px[1] + pz[2] - pz[1],
+            py[2] + pz[3] - pz[2] - 2 * math.pi,  # 3.6, wrapped into (-pi, pi]
+        )
+        om = omega_from_params(d).omegas
+        assert len(om) == 6
+        for got, want in zip(om, expected):
+            assert abs(got - want) < 1e-15
+
     def test_invariance_under_symmetries(self):
         rng = np.random.Generator(np.random.PCG64(3))
         d = random_ascending_chain(rng, 4)
@@ -250,7 +279,40 @@ class TestOmega:
             omega_from_params(random_ascending_chain(rng, 3))
 
 
+# Entries (row, column) of ``chars`` each symmetry multiplies by e^{i phase}, then those it
+# divides by it: S_i turns the order-(i+2) vector (column i) and, in row i + 1, every
+# higher-order vector back.
+_SYMMETRY_ENTRIES = {
+    (4, "S1"): ({(0, 1), (1, 1)}, {(2, 2)}),
+    (4, "S2"): ({(0, 2), (1, 2), (2, 2)}, set()),
+    (5, "S1"): ({(0, 1), (1, 1)}, {(2, 2), (2, 3)}),
+    (5, "S2"): ({(0, 2), (1, 2), (2, 2)}, {(3, 3)}),
+    (5, "S3"): ({(0, 3), (1, 3), (2, 3), (3, 3)}, set()),
+}
+
+
 class TestApplySymmetry:
+    @pytest.mark.parametrize("n, which", sorted(_SYMMETRY_ENTRIES))
+    def test_only_named_entries_change(self, n, which):
+        rng = np.random.Generator(np.random.PCG64(40 + n))
+        d = random_ascending_chain(rng, n)
+        phase = 0.9
+        rot = np.exp(1j * phase)
+        out = apply_symmetry(d, which, phase)
+        turned, turned_back = _SYMMETRY_ENTRIES[n, which]
+        for r in range(n - 1):
+            for c in range(n - 1):
+                before, after = d.chars[r, c], out.chars[r, c]
+                if (r, c) in turned:
+                    assert abs(after - before * rot) < 1e-15
+                elif (r, c) in turned_back:
+                    assert abs(after - before / rot) < 1e-15
+                else:
+                    assert np.array([after]).tobytes() == np.array([before]).tobytes()
+        assert np.array_equal(out.thetas, d.thetas) and out.order == d.order
+        assert np.array_equal(out.left_phases, d.left_phases)
+        assert np.array_equal(out.right_phases, d.right_phases)
+
     def test_zero_phase_is_identity(self):
         rng = np.random.Generator(np.random.PCG64(6))
         d = random_ascending_chain(rng, 4)
