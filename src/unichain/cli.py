@@ -10,14 +10,19 @@ Exit codes: 0 success, 1 validation error (bad flags, malformed input,
 violated precondition), 2 numeric-consistency failure (a residual above
 tolerance).  Output is deterministic: keys are emitted in a fixed order
 and numbers in shortest round-trip decimal form, so identical inputs and
-flags produce byte-identical bytes.
+flags produce byte-identical bytes.  JSON documents are streamed a block
+at a time, after all computation and validation are done.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -42,6 +47,86 @@ class ToleranceBreach(Exception):
     """A verification residual exceeded its tolerance (exit code 2)."""
 
 
+# --- JSON writer ---------------------------------------------------------------
+
+#: Most list items or records the writer renders per block; ``invariants`` renders whole
+#: row pairs of the plaquette table, at least one per block.
+_BLOCK_ITEMS = 4096
+#: ``float.__repr__`` of the non-finite floats, and their JSON spelling.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A JSON list of objects that all have the keys *fields* (at least one), given column
+    by column: each item of *blocks* holds, for a run of consecutive objects, one sequence
+    of values per field."""
+
+    fields: tuple
+    blocks: Iterable
+
+
+def _chunks(o, depth: int):
+    """The text of ``json.dumps(o, indent=2)`` nested *depth* levels deep, in pieces of at
+    most one block of list items or records each.
+
+    Non-empty lists, tuples and dicts with string keys, and :class:`_Records`, are laid
+    out here; scalars and anything else are ``json.dumps``'s to render.
+    """
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(o, (list, tuple)) and o:
+        sep = "[" + inner
+        for start in range(0, len(o), _BLOCK_ITEMS):
+            yield sep + ("," + inner).join(_texts(o[start : start + _BLOCK_ITEMS], depth + 1))
+            sep = "," + inner
+        yield close + "]"
+    elif isinstance(o, dict) and o and all(type(k) is str for k in o):
+        sep = "{" + inner
+        for k, v in o.items():
+            yield sep + json.dumps(k) + ": "
+            yield from _chunks(v, depth + 1)
+            sep = "," + inner
+        yield close + "}"
+    elif isinstance(o, _Records):
+        keys = (inner + "  " + json.dumps(f).replace("%", "%%") + ": %s" for f in o.fields)
+        row = "{" + ",".join(keys) + inner + "}"
+        sep = "[" + inner
+        for columns in o.blocks:
+            texts = _rows(row, columns, depth + 2)
+            if texts:
+                yield sep + ("," + inner).join(texts)
+                sep = "," + inner
+        yield "[]" if sep.startswith("[") else close + "]"
+    else:  # JSON strings hold no raw newline, so every newline is layout
+        yield json.dumps(o, indent=2).replace("\n", close)
+
+
+def _texts(values, depth: int) -> list:
+    """The JSON text of each of *values* nested *depth* levels deep: a whole column at a
+    time when all are floats, all ints, or all non-empty lists of one length, and once
+    for an object that recurs."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        return list(map(_NONFINITE.get, texts, texts))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    distinct = {id(v): v for v in values}  # *values* keeps each object alive: ids are unique
+    if len(distinct) < len(values):
+        texts = dict(zip(distinct, _texts(list(distinct.values()), depth)))
+        return list(map(texts.__getitem__, map(id, values)))
+    if values and kinds <= {list, tuple} and len(set(map(len, values))) == 1 and values[0]:
+        inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        row = "[" + ",".join([inner + "%s"] * len(values[0])) + close + "]"
+        return _rows(row, list(zip(*values)), depth + 1)
+    return ["".join(_chunks(v, depth)) for v in values]
+
+
+def _rows(row: str, columns, depth: int) -> list:
+    """*row*, a %-template, filled with the texts of one item of each of *columns*, row by row."""
+    return list(map(row.__mod__, zip(*(_texts(c, depth) for c in columns))))
+
+
 # --- I/O helpers -------------------------------------------------------------
 
 
@@ -62,16 +147,22 @@ def _read_json(path: str):
         ) from exc
 
 
-def _write_text(path: str, text: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """The text stream of *path*, or stdout for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _emit_json(path: str, payload):
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write ``json.dumps(payload, indent=2) + "\n"`` to *path*, a block at a time."""
+    with _output(path) as fh:
+        for text in _chunks(payload, 0):
+            fh.write(text)
+        fh.write("\n")
 
 
 def _matrix_csv(x) -> str:
@@ -83,7 +174,8 @@ def _matrix_csv(x) -> str:
 
 def _emit_matrix(path: str, x, fmt: str):
     if fmt == "csv":
-        _write_text(path, _matrix_csv(x))
+        with _output(path) as fh:
+            fh.write(_matrix_csv(x))
     else:
         _emit_json(path, mc.matrix_to_json_dict(x))
 
@@ -100,12 +192,23 @@ def _detect_params(obj):
     )
 
 
-def _plaquettes_payload(table: inv.PlaquetteTable) -> list:
-    values = table.values.ravel()
-    return [
-        {"rows": list(rows), "cols": list(cols), "re": re, "im": im}
-        for (rows, cols), re, im in zip(table.keys(), values.real.tolist(), values.imag.tolist())
-    ]
+def _plaquette_records(table: inv.PlaquetteTable) -> _Records:
+    """The table's plaquettes as ``rows``/``cols``/``re``/``im`` records in ``keys()`` order,
+    produced a block of whole row pairs at a time."""
+    pairs = list(combinations(range(1, table.n + 1), 2))
+    step = max(1, _BLOCK_ITEMS // max(len(pairs), 1))
+
+    def blocks():
+        for start in range(0, len(pairs), step):
+            rows, values = pairs[start : start + step], table.values[start : start + step]
+            yield (
+                [p for p in rows for _ in pairs],
+                pairs * len(rows),
+                values.real.ravel().tolist(),
+                values.imag.ravel().tolist(),
+            )
+
+    return _Records(("rows", "cols", "re", "im"), blocks())
 
 
 def _areas_payload(areas: list) -> list:
@@ -175,7 +278,7 @@ def _cmd_invariants(args) -> int:
     table = inv.plaquette_table(x)
     payload = {
         "n": table.n,
-        "plaquettes": _plaquettes_payload(table),
+        "plaquettes": _plaquette_records(table),
         "triangle_areas": _areas_payload(inv.triangle_areas(x)),
     }
     if omegas is not None:

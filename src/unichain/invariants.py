@@ -66,10 +66,12 @@ def count_independent_phases(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _check_indices(idx, n: int, what: str) -> tuple:
-    """The 1-based indices *idx* as a tuple of ints, checked to be integers (numpy integers
-    count, bools do not) in 1..n and distinct."""
+def _check_indices(idx, n: int, what: str, count: int) -> tuple:
+    """The 1-based indices *idx* as a tuple of ints, checked to be *count* integers (numpy
+    integers count, bools do not) in 1..n and distinct."""
     out = tuple(idx)
+    if len(out) != count:
+        raise DomainError(f"{what} indices must be {count} integers, got {idx}")
     if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in out):
         raise DomainError(f"{what} indices must be integers, got {idx}")
     out = tuple(int(i) for i in out)
@@ -161,8 +163,8 @@ def plaquette(x, rows, cols) -> Plaquette:
     """The invariant for row pair *rows* and column pair *cols* of *x*."""
     x = require_square(x)
     n = x.shape[0]
-    rows = tuple(sorted(_check_indices(rows, n, "row")))
-    cols = tuple(sorted(_check_indices(cols, n, "column")))
+    rows = tuple(sorted(_check_indices(rows, n, "row", 2)))
+    cols = tuple(sorted(_check_indices(cols, n, "column", 2)))
     return Plaquette(rows, cols, _plaquette_value(x, rows, cols))
 
 
@@ -187,7 +189,7 @@ class PlaquetteTable:
 
     def _pair(self, pair, what: str) -> tuple:
         """The sorted pair and its position in ``combinations`` order."""
-        a, b = sorted(_check_indices(pair, self.n, what))
+        a, b = sorted(_check_indices(pair, self.n, what, 2))
         return (a, b), (a - 1) * (2 * self.n - a) // 2 + b - a - 1
 
     def get(self, rows, cols) -> Plaquette:
@@ -277,8 +279,8 @@ def reduce_sextet(x, rows, cols) -> tuple:
     """
     x = require_square(x)
     n = x.shape[0]
-    a, b, c = _check_indices(rows, n, "row")
-    j, k, l = _check_indices(cols, n, "column")
+    a, b, c = _check_indices(rows, n, "row", 3)
+    j, k, l = _check_indices(cols, n, "column", 3)
     pivot = abs(x[b - 1, j - 1])
     if pivot <= DEFAULT_EQUALITY_TOL:
         raise PreconditionError(
@@ -356,6 +358,8 @@ def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
         raise DomainError(f"chain symmetries are defined for n in {{4, 5}}, got n={n}")
     if which not in _SYMMETRIES[: n - 2]:
         raise DomainError(f"unsupported symmetry {which!r} for n={n}")
+    if not math.isfinite(phase):
+        raise DomainError(f"symmetry phase must be finite, got {phase}")
     k = _SYMMETRIES.index(which) + 3
     chars = np.asfortranarray(np.triu(_ascending_chars(d)))  # gauge_fix may pad with -0.0
     rot = np.exp(1j * phase)

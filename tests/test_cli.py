@@ -1,11 +1,15 @@
 import json
+import math
 import resource
+import sys
 
 import numpy as np
+import pytest
 
 from helpers import run_cli, texture_matrix
+from unichain import cli
 from unichain.cli import MAX_GEN_N, main
-from unichain.invariants import MAX_TABLE_ENTRIES
+from unichain.invariants import MAX_TABLE_ENTRIES, plaquette_table, triangle_areas
 from unichain.matrix_core import (
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -279,9 +283,14 @@ class TestDirectMain:
         assert json.loads(out)["ok"] is True
 
 
-def _limit_address_space():
-    limit = 1 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+def _address_space_limit(limit):
+    def apply():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return apply
+
+
+_limit_address_space = _address_space_limit(1 << 30)
 
 
 class TestOversizedInput:
@@ -422,3 +431,175 @@ class TestByteContract:
             expected
         )
         assert [e["label"] for e in report["sign_pattern"]] == list(expected.values())
+
+
+def _records_plain(o):
+    """*o* with each ``cli._Records`` spelled out as the list of dicts it stands for."""
+    if isinstance(o, cli._Records):
+        return [dict(zip(o.fields, row)) for columns in o.blocks for row in zip(*columns)]
+    if isinstance(o, dict):
+        return {k: _records_plain(v) for k, v in o.items()}
+    return o
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestStreamedWriter:
+    """Every document is written as exactly ``json.dumps(payload, indent=2) + "\n"``."""
+
+    def emitted(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        cli._emit_json(str(path), payload)
+        return path.read_text(encoding="utf-8")
+
+    def test_edge_values(self, tmp_path, capsys):
+        pair = [1, 2]
+        scalars = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, -1.5e300,
+            True, False, None, 0, -7, 2**70, "", "plain", 'q"uo\\te\n\t\u00e9\u2028\U0001f600',
+            np.float64(0.1), np.float64(math.nan), np.float64(-math.inf),
+        ]
+        payloads = [
+            *scalars,
+            scalars,
+            scalars[:10],  # floats only: rendered as one column
+            scalars[13:16],  # ints only
+            [], {}, [[]], [{}], [[], []], {"a": [], "b": {}}, {"": 0},
+            {"%s": 1, "%%": [1.5, "%d"], 'k"\u00e9': None},
+            [[1, 2], [3, 4]], [[1], [1, 2]], [[1, 1.0], [True, 2]], [1, 1.0, True, None, "1"],
+            [[math.nan, math.inf], [-math.inf, -0.0]], [pair, pair, [1, 2], (1, 2)],
+            [[[1.5, -2.5], [0.0, 1.0]], [[2.0, 3.0], [4.0, 5.0]]], [(1, (2.5, None)), ()],
+            [{"a": 1, "b": [1.0, 2.0]}, {"a": 2, "b": [3.0]}, {}],
+            {"deep": {"er": {"est": [[{"x": [math.nan]}]]}}},
+            {1: "int key", 2.5: "float key", None: "null key", True: "bool key"},
+            {"outer": {1: [1, 2], "s": {"t": [3.0]}}},
+            list(range(9000)),
+            [[float(i), -0.5 * i] for i in range(9000)] + [[math.nan, 1.0]],
+            [[i % 7, float(i)] if i % 5 else [i, "x"] for i in range(9000)],
+        ]
+        for payload in payloads:
+            assert self.emitted(tmp_path, payload) == _dumps(payload), payload
+        cli._emit_json("-", payloads[-4])
+        assert capsys.readouterr().out == _dumps(payloads[-4])
+
+    def test_records(self, tmp_path):
+        pairs = [(1, 2), (1, 3)]
+        records = [
+            cli._Records(("a",), []),
+            cli._Records(("a", "b"), [([], [])]),
+            cli._Records(("rows", "%s", "v"), [
+                (pairs * 2, [[1.5], [2.5], [math.nan], [-0.0]], [0.25, math.inf, -1.0, 1e16]),
+                ((), (), ()),
+                ([pairs[0]], [{"k": [1, None]}], ["s"]),
+            ]),
+        ]
+        for rec in records:
+            payload = {"n": 2, "records": rec, "tail": []}
+            assert self.emitted(tmp_path, payload) == _dumps(_records_plain(payload))
+        assert self.emitted(tmp_path, [records[2]]) == _dumps([_records_plain(records[2])])
+
+    @pytest.fixture
+    def documents(self, monkeypatch):
+        """The expected bytes of each document the CLI writes, from ``json.dumps``."""
+        expected = []
+        emit = cli._emit_json
+
+        def spy(path, payload):
+            replayable = {
+                k: cli._Records(v.fields, list(v.blocks)) if isinstance(v, cli._Records) else v
+                for k, v in payload.items()
+            }
+            expected.append(_dumps(_records_plain(replayable)))
+            emit(path, replayable)
+
+        monkeypatch.setattr(cli, "_emit_json", spy)
+        return expected
+
+    def test_every_command(self, tmp_path, documents):
+        files = {}
+
+        def run(name, argv, code=0):
+            files[name] = tmp_path / f"{name}.json"
+            assert main([*argv, "--out", str(files[name])]) == code, name
+            assert files[name].read_text(encoding="utf-8") == documents[-1], name
+            return str(files[name])
+
+        sym_doc = tmp_path / "sym-params.json"
+        sym_doc.write_text(json.dumps({
+            "n": 4, "thetas": [0.5, 0.8, 1.1], "half_angle": True,
+            "chars": [[1.0], [0.6, 0.8], [0.2, 0.7, math.sqrt(1 - 0.04 - 0.49)]],
+        }))
+        bad = matrix_to_json_dict(np.eye(4) + 1e-3 * np.eye(4)[::-1])
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        texture = write_matrix(tmp_path, "texture.json", texture_matrix(np.random.default_rng(5)))
+
+        run("gen1", ["gen", "--n", "1", "--seed", "3"])
+        run("gen2", ["gen", "--n", "2", "--seed", "3"])
+        g4 = run("gen4", ["gen", "--n", "4", "--seed", "3"])
+        g5 = run("gen5", ["gen", "--n", "5", "--seed", "3"])
+        desc = run("desc", ["decompose", "--in", g5])
+        asc = run("asc", ["decompose", "--in", g4, "--order", "asc", "--gauge", "canonical"])
+        run("reorder", ["reorder", "--in", desc, "--target", "3,5,2,4"])
+        run("compose", ["compose", "--in", asc])
+        run("compose_sym", ["compose", "--in", str(sym_doc)])
+        for name in ("gen1", "gen2", "gen4", "gen5"):
+            run(f"invariants_{name}", ["invariants", "--in", str(files[name])])
+        run("invariants_asc", ["invariants", "--in", asc])
+        run("panel4", ["panel", "--in", g4])
+        run("panel5", ["panel", "--in", g5])
+        run("zerotexture", ["zerotexture", "--in", texture])
+        run("symmetric", ["symmetric", "--in", str(sym_doc)])
+        run("verify1", ["verify", "--in", str(files["gen1"])])
+        run("verify4", ["verify", "--in", g4])
+        run("verify_failing", ["verify", "--in", str(bad_path)], code=2)
+        assert "omegas" in json.loads(files["invariants_asc"].read_text())
+        assert json.loads(files["verify_failing"].read_text())["ok"] is False
+
+    def test_invariants_equal_the_dict_payload(self, tmp_path):
+        # The plaquette rows as one dict each, the way the document was first built.
+        from unichain.matrix_core import haar_random
+
+        for n in (2, 3, 6):
+            x = haar_random(n, n)
+            table = plaquette_table(x)
+            values = table.values.ravel().tolist()
+            payload = {
+                "n": n,
+                "plaquettes": [
+                    {"rows": list(r), "cols": list(c), "re": v.real, "im": v.imag}
+                    for (r, c), v in zip(table.keys(), values)
+                ],
+                "triangle_areas": [
+                    {"pair": [kind, i, j], "area": float(area)}
+                    for (kind, i, j), area in triangle_areas(x)
+                ],
+            }
+            out = tmp_path / f"inv{n}.json"
+            assert main(["invariants", "--in", write_matrix(tmp_path, "m.json", x), "--out", str(out)]) == 0
+            assert out.read_text() == _dumps(payload)
+
+    def test_invalid_input_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["invariants", "--in", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+        assert not out.exists()
+        bad = write_matrix(tmp_path, "nonunitary.json", 2 * np.eye(3))
+        assert main(["invariants", "--in", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input" in captured.err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_invariants_n32_within_256_mib(self, tmp_path, monkeypatch):
+        # 496**2 plaquettes, about 40 MB of text: the document is never held whole.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        gen, out = tmp_path / "gen32.json", tmp_path / "inv32.json"
+        assert main(["gen", "--n", "32", "--seed", "1", "--out", str(gen)]) == 0
+        proc = run_cli(
+            ["invariants", "--in", str(gen), "--out", str(out)],
+            timeout=120, preexec_fn=_address_space_limit(256 << 20),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes().count(b'"re": ') == 496**2

@@ -65,6 +65,12 @@ class TestPlaquette:
         with pytest.raises(DomainError):
             plaquette(np.eye(3), (1, 2), (5, 2))
 
+    def test_wrong_index_count_rejected(self):
+        x = haar_random(4, 3)
+        for rows, cols, what in (((1, 2, 3), (1, 2), "row"), ((1, 2), (1,), "column")):
+            with pytest.raises(DomainError, match=f"{what} indices must be 2 integers"):
+                plaquette(x, rows, cols)
+
     def test_orientation_signs(self):
         x = haar_random(4, 3)
         base = plaquette(x, (1, 3), (2, 4))
@@ -113,6 +119,14 @@ class TestPlaquetteTable:
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
             plaquette_table(np.ones((3, 3)))
+
+    def test_wrong_index_count_rejected(self):
+        table = plaquette_table(haar_random(4, 0))
+        for lookup in (table.get, table.value):
+            with pytest.raises(DomainError, match="row indices must be 2 integers"):
+                lookup((1, 2, 3), (1, 2))
+            with pytest.raises(DomainError, match="column indices must be 2 integers"):
+                lookup((1, 2), (3,))
 
 
 class TestEpsilonStructure:
@@ -207,6 +221,13 @@ class TestSextetReduction:
     def test_bad_indices_rejected(self):
         with pytest.raises(DomainError):
             reduce_sextet(np.eye(4), (1, 1, 2), (1, 2, 3))
+
+    def test_wrong_index_count_rejected(self):
+        x = haar_random(4, 5)
+        with pytest.raises(DomainError, match="column indices must be 3 integers"):
+            reduce_sextet(x, (1, 2, 3), (1, 2))
+        with pytest.raises(DomainError, match="row indices must be 3 integers"):
+            reduce_sextet(x, (1, 2, 3, 4), (1, 2, 3))
 
 
 class TestOmega:
@@ -355,6 +376,12 @@ class TestApplySymmetry:
             apply_symmetry(random_ascending_chain(rng, 4), "S3", 0.1)
         with pytest.raises(DomainError):
             apply_symmetry(random_ascending_chain(rng, 3), "S1", 0.1)
+
+    def test_non_finite_phase_rejected(self):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(12)), 4)
+        for phase in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="phase must be finite"):
+                apply_symmetry(d, "S1", phase)
 
 
 class TestPanelLattice:
