@@ -11,7 +11,10 @@ violated precondition), 2 numeric-consistency failure (a residual above
 tolerance).  Output is deterministic: keys are emitted in a fixed order
 and numbers in shortest round-trip decimal form, so identical inputs and
 flags produce byte-identical bytes.  JSON documents are streamed a block
-at a time, after all computation and validation are done.
+at a time, after all computation and validation are done; ``invariants``
+fills one item template per plaquette.  An ``--out`` that cannot be
+written, running out of memory and stdout closed early also exit 1, and
+an ``--out`` file left unfinished is removed.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations
 
 import numpy as np
@@ -49,37 +52,31 @@ class ToleranceBreach(Exception):
 
 # --- JSON writer ---------------------------------------------------------------
 
-#: Most list items or records the writer renders per block; ``invariants`` renders whole
-#: row pairs of the plaquette table, at least one per block.
+#: Most list items the writer renders per block; ``invariants`` renders whole row pairs of
+#: the plaquette table, at least one per block.
 _BLOCK_ITEMS = 4096
 #: ``float.__repr__`` of the non-finite floats, and their JSON spelling.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-@dataclass(frozen=True)
-class _Records:
-    """A JSON list of objects that all have the keys *fields* (at least one), given column
-    by column: each item of *blocks* holds, for a run of consecutive objects, one sequence
-    of values per field."""
-
-    fields: tuple
-    blocks: Iterable
-
-
 def _chunks(o, depth: int):
     """The text of ``json.dumps(o, indent=2)`` nested *depth* levels deep, in pieces of at
-    most one block of list items or records each.
+    most one block of list items each.
 
-    Non-empty lists, tuples and dicts with string keys, and :class:`_Records`, are laid
-    out here; scalars and anything else are ``json.dumps``'s to render.
+    Non-empty lists, tuples and dicts with string keys are laid out here; an iterator stands
+    for a list and yields its blocks as lists of item texts already rendered *depth* + 1
+    levels deep.  Scalars and anything else are ``json.dumps``'s to render.
     """
     inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if isinstance(o, (list, tuple)) and o:
+        items, step = o, _BLOCK_ITEMS  # the generator reads *items* after *o* is rebound
+        o = (_texts(items[i : i + step], depth + 1) for i in range(0, len(items), step))
+    if isinstance(o, Iterator):
         sep = "[" + inner
-        for start in range(0, len(o), _BLOCK_ITEMS):
-            yield sep + ("," + inner).join(_texts(o[start : start + _BLOCK_ITEMS], depth + 1))
+        for texts in o:
+            yield sep + ("," + inner).join(texts)
             sep = "," + inner
-        yield close + "]"
+        yield close + "]" if sep[0] == "," else "[]"
     elif isinstance(o, dict) and o and all(type(k) is str for k in o):
         sep = "{" + inner
         for k, v in o.items():
@@ -87,44 +84,24 @@ def _chunks(o, depth: int):
             yield from _chunks(v, depth + 1)
             sep = "," + inner
         yield close + "}"
-    elif isinstance(o, _Records):
-        keys = (inner + "  " + json.dumps(f).replace("%", "%%") + ": %s" for f in o.fields)
-        row = "{" + ",".join(keys) + inner + "}"
-        sep = "[" + inner
-        for columns in o.blocks:
-            texts = _rows(row, columns, depth + 2)
-            if texts:
-                yield sep + ("," + inner).join(texts)
-                sep = "," + inner
-        yield "[]" if sep.startswith("[") else close + "]"
     else:  # JSON strings hold no raw newline, so every newline is layout
         yield json.dumps(o, indent=2).replace("\n", close)
 
 
 def _texts(values, depth: int) -> list:
     """The JSON text of each of *values* nested *depth* levels deep: a whole column at a
-    time when all are floats, all ints, or all non-empty lists of one length, and once
-    for an object that recurs."""
+    time when all are floats, all ints, or all non-empty lists of one length."""
     kinds = set(map(type, values))
     if kinds == {float}:
         texts = list(map(float.__repr__, values))
         return list(map(_NONFINITE.get, texts, texts))
     if kinds == {int}:
         return list(map(int.__repr__, values))
-    distinct = {id(v): v for v in values}  # *values* keeps each object alive: ids are unique
-    if len(distinct) < len(values):
-        texts = dict(zip(distinct, _texts(list(distinct.values()), depth)))
-        return list(map(texts.__getitem__, map(id, values)))
     if values and kinds <= {list, tuple} and len(set(map(len, values))) == 1 and values[0]:
         inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
         row = "[" + ",".join([inner + "%s"] * len(values[0])) + close + "]"
-        return _rows(row, list(zip(*values)), depth + 1)
+        return list(map(row.__mod__, zip(*(_texts(c, depth + 1) for c in zip(*values)))))
     return ["".join(_chunks(v, depth)) for v in values]
-
-
-def _rows(row: str, columns, depth: int) -> list:
-    """*row*, a %-template, filled with the texts of one item of each of *columns*, row by row."""
-    return list(map(row.__mod__, zip(*(_texts(c, depth) for c in columns))))
 
 
 # --- I/O helpers -------------------------------------------------------------
@@ -149,12 +126,21 @@ def _read_json(path: str):
 
 @contextlib.contextmanager
 def _output(path: str):
-    """The text stream of *path*, or stdout for "-"."""
+    """The text stream of *path*, or stdout for "-".  A file left unfinished by an exception
+    is removed; a device such as ``/dev/null`` is not."""
     if path == "-":
         yield sys.stdout
-    else:
+        return
+    fh = None
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+    except BaseException as exc:
+        if fh is not None and os.path.isfile(path):  # opened, so truncated: nothing to keep
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise mc.StructureError(f"cannot write {path!r}: {exc}") from exc
+        raise
 
 
 def _emit_json(path: str, payload):
@@ -192,23 +178,18 @@ def _detect_params(obj):
     )
 
 
-def _plaquette_records(table: inv.PlaquetteTable) -> _Records:
-    """The table's plaquettes as ``rows``/``cols``/``re``/``im`` records in ``keys()`` order,
-    produced a block of whole row pairs at a time."""
+def _plaquette_rows(table: inv.PlaquetteTable):
+    """The table's plaquettes in ``keys()`` order, rendered as the items of the invariants
+    document's ``"plaquettes"`` list (two levels deep), a block of whole row pairs at a time."""
     pairs = list(combinations(range(1, table.n + 1), 2))
+    pair_texts = _texts(pairs, 3)
+    item = '{\n      "rows": %s,\n      "cols": %s,\n      "re": %s,\n      "im": %s\n    }'
     step = max(1, _BLOCK_ITEMS // max(len(pairs), 1))
-
-    def blocks():
-        for start in range(0, len(pairs), step):
-            rows, values = pairs[start : start + step], table.values[start : start + step]
-            yield (
-                [p for p in rows for _ in pairs],
-                pairs * len(rows),
-                values.real.ravel().tolist(),
-                values.imag.ravel().tolist(),
-            )
-
-    return _Records(("rows", "cols", "re", "im"), blocks())
+    for start in range(0, len(pairs), step):
+        values = table.values[start : start + step]
+        rows = [text for text in pair_texts[start : start + step] for _ in pairs]
+        re, im = _texts(values.real.ravel().tolist(), 3), _texts(values.imag.ravel().tolist(), 3)
+        yield list(map(item.__mod__, zip(rows, pair_texts * len(values), re, im)))
 
 
 def _areas_payload(areas: list) -> list:
@@ -278,7 +259,7 @@ def _cmd_invariants(args) -> int:
     table = inv.plaquette_table(x)
     payload = {
         "n": table.n,
-        "plaquettes": _plaquette_records(table),
+        "plaquettes": _plaquette_rows(table),
         "triangle_areas": _areas_payload(inv.triangle_areas(x)),
     }
     if omegas is not None:
@@ -539,6 +520,12 @@ def main(argv=None) -> int:
         return _EXIT_NUMERIC
     except ValueError as exc:
         print(f"unichain {args.command}: invalid input: {exc}", file=sys.stderr)
+        return _EXIT_INVALID
+    except MemoryError:
+        print(f"unichain {args.command}: out of memory", file=sys.stderr)
+        return _EXIT_INVALID
+    except BrokenPipeError:  # stdout closed early, as by `| head`; quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_INVALID
 
 

@@ -12,16 +12,21 @@ import unichain
 from unichain.recursive_param import ASCENDING, Decomposition, Factor
 
 
-def run_cli(args, stdin=None, **kwargs):
-    """Run ``python -m unichain`` from the package the tests import."""
+def cli_env():
+    """The environment in which ``python -m unichain`` imports the package the tests import."""
     src = str(Path(unichain.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(args, stdin=None, **kwargs):
+    """Run ``python -m unichain`` from the package the tests import."""
     return subprocess.run(
         [sys.executable, "-m", "unichain", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=cli_env(),
         **kwargs,
     )
 

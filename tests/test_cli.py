@@ -1,12 +1,14 @@
 import json
 import math
 import resource
+import subprocess
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
 
-from helpers import run_cli, texture_matrix
+from helpers import cli_env, run_cli, texture_matrix
 from unichain import cli
 from unichain.cli import MAX_GEN_N, main
 from unichain.invariants import MAX_TABLE_ENTRIES, plaquette_table, triangle_areas
@@ -433,15 +435,6 @@ class TestByteContract:
         assert [e["label"] for e in report["sign_pattern"]] == list(expected.values())
 
 
-def _records_plain(o):
-    """*o* with each ``cli._Records`` spelled out as the list of dicts it stands for."""
-    if isinstance(o, cli._Records):
-        return [dict(zip(o.fields, row)) for columns in o.blocks for row in zip(*columns)]
-    if isinstance(o, dict):
-        return {k: _records_plain(v) for k, v in o.items()}
-    return o
-
-
 def _dumps(payload):
     return json.dumps(payload, indent=2) + "\n"
 
@@ -484,22 +477,6 @@ class TestStreamedWriter:
         cli._emit_json("-", payloads[-4])
         assert capsys.readouterr().out == _dumps(payloads[-4])
 
-    def test_records(self, tmp_path):
-        pairs = [(1, 2), (1, 3)]
-        records = [
-            cli._Records(("a",), []),
-            cli._Records(("a", "b"), [([], [])]),
-            cli._Records(("rows", "%s", "v"), [
-                (pairs * 2, [[1.5], [2.5], [math.nan], [-0.0]], [0.25, math.inf, -1.0, 1e16]),
-                ((), (), ()),
-                ([pairs[0]], [{"k": [1, None]}], ["s"]),
-            ]),
-        ]
-        for rec in records:
-            payload = {"n": 2, "records": rec, "tail": []}
-            assert self.emitted(tmp_path, payload) == _dumps(_records_plain(payload))
-        assert self.emitted(tmp_path, [records[2]]) == _dumps([_records_plain(records[2])])
-
     @pytest.fixture
     def documents(self, monkeypatch):
         """The expected bytes of each document the CLI writes, from ``json.dumps``."""
@@ -507,12 +484,12 @@ class TestStreamedWriter:
         emit = cli._emit_json
 
         def spy(path, payload):
-            replayable = {
-                k: cli._Records(v.fields, list(v.blocks)) if isinstance(v, cli._Records) else v
-                for k, v in payload.items()
-            }
-            expected.append(_dumps(_records_plain(replayable)))
-            emit(path, replayable)
+            # A list given as an iterator of rendered blocks: each item text parses back to
+            # the value that json.dumps must lay out the same way.
+            blocks = {k: list(v) for k, v in payload.items() if isinstance(v, Iterator)}
+            items = {k: [json.loads(t) for b in v for t in b] for k, v in blocks.items()}
+            expected.append(_dumps({**payload, **items}))
+            emit(path, {**payload, **{k: iter(v) for k, v in blocks.items()}})
 
         monkeypatch.setattr(cli, "_emit_json", spy)
         return expected
@@ -562,7 +539,7 @@ class TestStreamedWriter:
         # The plaquette rows as one dict each, the way the document was first built.
         from unichain.matrix_core import haar_random
 
-        for n in (2, 3, 6):
+        for n in (1, 2, 3, 6, 16):  # n = 1: no plaquettes; n = 16: 4 blocks of 34 row pairs
             x = haar_random(n, n)
             table = plaquette_table(x)
             values = table.values.ravel().tolist()
@@ -589,6 +566,41 @@ class TestStreamedWriter:
         assert main(["invariants", "--in", bad]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid input" in captured.err
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        assert main(["gen", "--n", "2", "--seed", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"unichain gen: invalid input: cannot write {out!r}: ")
+        assert err.count("\n") == 1
+
+    def test_failure_mid_document_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        from unichain.matrix_core import haar_random
+
+        out = tmp_path / "inv.json"
+        rows = cli._plaquette_rows
+
+        def failing(table):
+            yield next(rows(table))
+            assert out.exists()
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_plaquette_rows", failing)
+        matrix = write_matrix(tmp_path, "m.json", haar_random(16, 1))
+        assert main(["invariants", "--in", matrix, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "unichain invariants: out of memory\n"
+        assert not out.exists()
+
+    def test_stdout_closed_early_exits_1_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "unichain", "gen", "--n", "300", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, head, err) == (1, b'{\n  "n": 3', b"")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
     def test_invariants_n32_within_256_mib(self, tmp_path, monkeypatch):
