@@ -146,8 +146,8 @@ def haar_random(n: int, seed: int) -> np.ndarray:
 #
 # A complex number is the pair [re, im].  Matrix files are
 # {"n": int, "entries": [[re, im], ...]} with entries in row-major order.
-# Parsers reject wrong lengths, non-pairs, non-finite numbers and orders
-# that are not JSON integers.
+# Parsers reject wrong lengths, non-pairs, non-finite numbers, numbers that
+# are strings or booleans, and orders that are not JSON integers.
 
 
 def json_int(value, what: str) -> int:
@@ -155,6 +155,23 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise StructureError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_float(value, what: str) -> float:
+    """A number field of a JSON document; a bool, string or list is a :class:`StructureError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StructureError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise DomainError(f"{what} is too large for a float") from None
+
+
+def json_floats(values, what: str) -> list:
+    """A list field of JSON numbers, as floats; anything but a list is a :class:`StructureError`."""
+    if not isinstance(values, list):
+        raise StructureError(f"{what} must be a list of numbers, got {type(values).__name__}")
+    return [json_float(v, f"{what} entry {i}") for i, v in enumerate(values)]
 
 
 def complex_to_pairs(values) -> list:
@@ -171,10 +188,10 @@ def complex_from_pairs(pairs, what: str = "entry") -> np.ndarray:
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise StructureError(f"{what} {i} is not a [re, im] pair")
-        try:
-            re, im = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError) as exc:
-            raise StructureError(f"{what} {i} is not a pair of numbers: {exc}") from exc
+        re, im = pair
+        if type(re) is not float or type(im) is not float:  # json.loads gives floats for most
+            re = json_float(re, f"{what} {i} real part")
+            im = json_float(im, f"{what} {i} imaginary part")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise DomainError(f"{what} {i} is not finite: [{pair[0]}, {pair[1]}]")
         out[i] = complex(re, im)

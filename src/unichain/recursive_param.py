@@ -24,7 +24,7 @@ and the target, in two sweeps of O(n) kernel calls), and fixes the phase
 gauge.  Every product with a factor goes through :func:`apply_factor`,
 which uses the rank-2 form; :func:`block` and :func:`embed` are the dense
 reference forms.  A chain is stored as arrays (see :class:`Decomposition`)
-and its factors are read-only views of them.
+and its factors are read-only views of them, built on first read.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .matrix_core import (
     StructureError,
     complex_from_pairs,
     complex_to_pairs,
+    json_float,
+    json_floats,
     json_int,
     maxnorm,
     phase_vector,
@@ -254,7 +256,9 @@ class Decomposition:
     ``thetas``, entry k - 2 the order-k angle; and ``chars``, the
     zero-padded (n-1)-by-(n-1) array whose column k - 2 holds the order-k
     vector.  The constructor copies its input into them and checks the
-    vectors once per chain; each of ``factors`` is then a view of them.
+    vectors once per chain.  ``factors`` are views of them, built on first
+    read; a factor that :func:`reorder_chain` kept is the source chain's
+    own object, whichever chain is read first.
     """
 
     ambient_n: int
@@ -303,32 +307,45 @@ class Decomposition:
         self._store(ks, thetas, chars, left, right)
 
     @classmethod
-    def _of(cls, n, orders, thetas, chars, left, right, order, keep=None) -> "Decomposition":
-        """A chain on arrays the package built, shapes unchecked; *keep* maps
-        orders to existing factors to reuse instead of new views."""
+    def _of(cls, n, orders, thetas, chars, left, right, order, kept=None) -> "Decomposition":
+        """A chain on arrays the package built, shapes unchecked; *kept* pairs a source chain
+        with moved flags (entry k - 2 for order k): its unmoved factors are reused."""
         d = object.__new__(cls)
         d.__dict__.update(ambient_n=n, order=order)
-        d._store(orders, thetas, chars, left, right, keep)
+        d._store(orders, thetas, chars, left, right, kept)
         return d
 
-    def _store(self, orders, thetas, chars, left, right, keep=None):
-        """Check *chars*, freeze the arrays and make the factors views of them."""
+    def _store(self, orders, thetas, chars, left, right, kept=None):
+        """Check *chars* and freeze the arrays; the factors are built on first read."""
         _check_chars(chars)
         orders = np.array(orders, dtype=np.intp)
         for a in (orders, thetas, chars, left, right):
             a.setflags(write=False)
-        n, keep, ts = self.ambient_n, keep or {}, thetas.tolist()
+        if kept and kept[0].__dict__.get("_kept"):
+            kept[0].factors  # resolve the source first: no chain holds more than one other
+        self.__dict__.pop("factors", None)
+        self.__dict__.update(
+            left_phases=left, right_phases=right, orders=orders, thetas=thetas, chars=chars,
+            _kept=kept,
+        )
+
+    def __getattr__(self, name):
+        """Build ``factors`` on first read: views of the arrays, or the source's kept factors."""
+        state = self.__dict__
+        if name != "factors" or "chars" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        source, moved = state.pop("_kept", None) or (None, None)
+        same = {f.order_k: f for f in source.factors if not moved[f.order_k - 2]} if source else {}
+        n, ts, chars = self.ambient_n, self.thetas.tolist(), self.chars
         factors = []
-        for k in orders.tolist():
-            f = keep.get(k)
+        for k in self.orders.tolist():
+            f = same.get(k)
             if f is None:
                 f = object.__new__(Factor)
                 f.__dict__.update(ambient_n=n, order_k=k, theta=ts[k - 2], char=chars[: k - 1, k - 2])
             factors.append(f)
-        self.__dict__.update(
-            factors=tuple(factors), left_phases=left, right_phases=right,
-            orders=orders, thetas=thetas, chars=chars,
-        )
+        state["factors"] = factors = tuple(factors)
+        return factors
 
     def factor(self, k: int) -> Factor:
         """The (unique) factor of order *k*."""
@@ -381,13 +398,14 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
     betas = np.zeros(n)
     for k in range(n, 1, -1):
         m = w[:k, :k]
-        corner, col = m[k - 1, k - 1], m[: k - 1, k - 1]
+        corner, col = m.item(k - 1, k - 1), m[: k - 1, k - 1]
         norm = math.sqrt(np.vdot(col, col).real)
         theta = math.atan2(norm, abs(corner))
-        beta = float(np.angle(corner)) if corner != 0 else 0.0
+        beta = float(np.arctan2(corner.imag, corner.real)) if corner else 0.0  # np.angle's formula
         u = chars[: k - 1, k - 2]
-        if norm > 0:
-            u[:] = np.exp(-1j * beta) * col / norm
+        if norm > 0:  # e^{-i beta} first: numpy's complex product is not symmetric in its operands
+            np.multiply(np.exp(-1j * beta), col, out=u)
+            u /= norm
             u /= math.sqrt(np.vdot(u, u).real)  # norm is inexact once the squares of col underflow
         else:
             u[k - 2] = 1.0
@@ -431,13 +449,6 @@ def reorder_swap(left: Factor, right: Factor) -> tuple:
     return (rotated, left) if r < s else (right, rotated)
 
 
-def _columns(row: np.ndarray):
-    """The flagged entries of a boolean row: a slice if they are contiguous."""
-    cols = row.nonzero()[0]
-    lo, hi = int(cols[0]), int(cols[-1]) + 1
-    return slice(lo, hi) if hi - lo == cols.size else cols
-
-
 def reorder_chain(d: Decomposition, target) -> Decomposition:
     """Rearrange a chain into the *target* order sequence.
 
@@ -465,9 +476,14 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     # the first l rows, so the padding of every higher order stays zero.
     chars = np.array(src, order="F")
 
-    def plan(up):  # order l -> the moved columns right of l that its block reaches
-        work = up & moved
-        return {l + 2: _columns(work[l]) for l in work.any(axis=1).nonzero()[0].tolist()}
+    def plan(work):  # order l -> the moved columns right of l that its block reaches
+        if not work.size:  # n = 1: argmax refuses an empty row
+            return {}
+        lo, hi = work.argmax(axis=1).tolist(), (len(work) - work[:, ::-1].argmax(axis=1)).tolist()
+        return {  # a slice when the columns are contiguous
+            l + 2: slice(lo[l], hi[l]) if hi[l] - lo[l] == c else work[l].nonzero()[0]
+            for l, c in enumerate(work.sum(axis=1).tolist()) if c
+        }
 
     def sweep(theta, a, l, cols):
         sub = chars[:l, cols]  # a view when cols is a slice, else a copy to write back
@@ -475,21 +491,21 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
         if not isinstance(cols, slice):
             chars[:l, cols] = sub
 
-    todo = plan(s_up)
+    todo = plan(s_up & moved)
     for l in reversed(d.orders.tolist()):
         if l in todo:
             sweep(thetas[l - 2], src[: l - 1, l - 2], l, todo[l])
-    todo = plan(t_up)
+    todo, moved = plan(t_up & moved), moved.tolist()
     for k in target:
         a = src[: k - 1, k - 2]
         if moved[k - 2]:  # final: every lower-order target factor left of k is applied
             a = chars[: k - 1, k - 2]
-            a /= np.linalg.norm(a)
+            re, im = a.real, a.imag
+            a /= math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula
         if k in todo:
             sweep(-thetas[k - 2], a, k, todo[k])
-    keep = {f.order_k: f for f in d.factors if not moved[f.order_k - 2]}
     return Decomposition._of(
-        n, target, d.thetas, chars, d.left_phases, d.right_phases, infer_order(target), keep
+        n, target, d.thetas, chars, d.left_phases, d.right_phases, infer_order(target), (d, moved)
     )
 
 
@@ -568,8 +584,8 @@ def decomposition_from_json_dict(obj) -> Decomposition:
         n = json_int(obj["n"], "'n'")
         order = obj["order"]
         raw_factors = obj["factors"]
-        alpha = [float(v) for v in obj["alpha"]]
-        beta = [float(v) for v in obj["beta"]]
+        alpha = json_floats(obj["alpha"], "'alpha'")
+        beta = json_floats(obj["beta"], "'beta'")
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"decomposition document missing/invalid field: {exc}") from exc
     if not isinstance(raw_factors, list):
@@ -578,7 +594,7 @@ def decomposition_from_json_dict(obj) -> Decomposition:
     for i, rf in enumerate(raw_factors):
         try:
             k = json_int(rf["k"], "'k'")
-            theta = float(rf["theta"])
+            theta = json_float(rf["theta"], "'theta'")
             raw_char = rf["char"]
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"factor {i} missing/invalid field: {exc}") from exc

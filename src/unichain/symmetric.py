@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DomainError, StructureError, json_int
+from .matrix_core import DomainError, StructureError, json_floats, json_int
 from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
@@ -206,9 +206,14 @@ def symmetric_params_from_json_dict(obj) -> SymmetricParams:
         raise StructureError("symmetric-params document must be a JSON object")
     try:
         n = json_int(obj["n"], "'n'")
-        thetas = tuple(float(t) for t in obj["thetas"])
-        chars = tuple(np.asarray(xs, dtype=float) for xs in obj["chars"])
-        half_angle = bool(obj.get("half_angle", True))
+        thetas = tuple(json_floats(obj["thetas"], "'thetas'"))
+        raw_chars = obj["chars"]
+        half_angle = obj.get("half_angle", True)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"symmetric-params document missing/invalid field: {exc}") from exc
+    if not isinstance(raw_chars, list):
+        raise StructureError(f"'chars' must be a list, got {type(raw_chars).__name__}")
+    if not isinstance(half_angle, bool):
+        raise StructureError(f"'half_angle' must be true or false, got {half_angle!r}")
+    chars = tuple(json_floats(xs, f"'chars' entry {i}") for i, xs in enumerate(raw_chars))
     return SymmetricParams(n=n, thetas=thetas, real_chars=chars, half_angle=half_angle)

@@ -205,6 +205,13 @@ class TestSymmetricCommand:
         assert max_abs_diff(x, x.T) < 1e-12
 
 
+_CHAIN = {
+    "n": 2, "order": "descending", "factors": [{"k": 2, "theta": 0.5, "char": [[1, 0]]}],
+    "alpha": [0, 0], "beta": [0, 0],
+}
+_SYMMETRIC = {"n": 3, "thetas": [1, 2], "chars": [[1], [0.6, 0.8]], "half_angle": True}
+
+
 class TestDiagnosticsAndDeterminism:
     def test_malformed_json_exits_1(self):
         res = run_cli(["decompose"], stdin="{not json")
@@ -227,6 +234,28 @@ class TestDiagnosticsAndDeterminism:
             out = run_cli([command], stdin=json.dumps(bad))
             assert out.returncode == 1 and out.stdout == ""
             assert "must be an integer" in out.stderr
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("decompose", {"n": 2, "entries": [["1", "0"], [False, 0], [0, 0], [True, 0]]}),
+            ("decompose", {"n": 1, "entries": [[1, 10**400]]}),
+            ("compose", {**_CHAIN, "factors": [{"k": 2, "theta": "0.5", "char": [[1, 0]]}]}),
+            ("compose", {**_CHAIN, "factors": [{"k": 2, "theta": 0.5, "char": [["1", 0]]}]}),
+            ("compose", {**_CHAIN, "alpha": "00"}),
+            ("compose", {**_CHAIN, "beta": [0, True]}),
+            ("symmetric", {**_SYMMETRIC, "half_angle": "false"}),
+            ("symmetric", {**_SYMMETRIC, "half_angle": 0}),
+            ("symmetric", {**_SYMMETRIC, "thetas": "12"}),
+            ("symmetric", {**_SYMMETRIC, "chars": [[1], "10"]}),
+            ("compose", {**_SYMMETRIC, "chars": [[1], [False, 1]]}),
+        ],
+    )
+    def test_numbers_and_lists_are_checked(self, command, doc):
+        out = run_cli([command], stdin=json.dumps(doc))
+        assert out.returncode == 1 and out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+        assert out.stderr.startswith(f"unichain {command}: invalid input: ")
 
     def test_byte_identical_output(self):
         a = run_cli(["gen", "--n", "4", "--seed", "123"])

@@ -10,6 +10,8 @@ from unichain.matrix_core import (
     ShapeError,
     StructureError,
     haar_random,
+    json_float,
+    json_floats,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
@@ -141,3 +143,27 @@ class TestMatrixJson:
         doc["n"] = n
         with pytest.raises(StructureError):
             matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", ["1", "0.5", True, False, None, [1.0], {"re": 1.0}])
+    def test_entries_must_be_json_numbers(self, value):
+        for pair in ([value, 0.0], [0.0, value]):
+            with pytest.raises(StructureError, match="entry 0 (real|imaginary) part must be a number"):
+                matrix_from_json_dict({"n": 1, "entries": [pair]})
+
+    def test_json_numbers_parse_to_the_same_floats(self):
+        values = [0, -0.0, 1, 2**60 + 1, 0.1, -1e-300, 5e-324, np.float64(0.3), np.int64(7)]
+        assert [json_float(v, "x") for v in values] == [float(v) for v in values]
+        assert all(type(json_float(v, "x")) is float for v in values)
+        assert json_floats(values, "x") == [float(v) for v in values]
+        doc = matrix_to_json_dict(haar_random(3, 14))
+        assert matrix_from_json_dict(doc).tobytes() == haar_random(3, 14).tobytes()
+
+    def test_json_number_checks(self):
+        with pytest.raises(StructureError, match="'xs' must be a list of numbers, got str"):
+            json_floats("00", "'xs'")
+        with pytest.raises(StructureError, match="'xs' entry 1 must be a number, got True"):
+            json_floats([0.5, True], "'xs'")
+        with pytest.raises(DomainError, match="too large for a float"):
+            json_float(10**400, "'x'")
+        with pytest.raises(DomainError, match="not finite"):
+            matrix_from_json_dict({"n": 1, "entries": [[float("inf"), 0.0]]})

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import gc
 import itertools
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -755,6 +760,73 @@ class TestChainStorage:
                 rp._check_chars(bad)
 
 
+class TestLazyFactors:
+    """A chain builds its factor views on first read; reorder_chain's kept factors are
+    its source's own objects whichever chain is read first."""
+
+    def unread(self):
+        d = decompose(haar_random(6, 12))
+        return d, reorder_chain(d, [4, 2, 6, 3, 5])
+
+    def test_nothing_built_until_read(self):
+        d, r = self.unread()
+        g = gauge_fix(reorder_chain(d, range(2, 7)))
+        assert not any("factors" in vars(c) for c in (d, r, g))
+        assert r.factor(6) is r.factors[2]
+        assert "factors" in vars(r) and "factors" in vars(d)  # r's kept factors came from d
+
+    @pytest.mark.parametrize("source_first", [False, True])
+    def test_identity_rule_in_either_read_order(self, source_first):
+        d, r = self.unread()
+        first = d.factors if source_first else None
+        got = r.factors
+        src = d.factors
+        assert first is None or first is src
+        kept = {f.order_k for f in got if any(f is g for g in src)}
+        assert kept == {2, 4}  # from 6, 5, 4, 3, 2 only 2 and 4 keep every lower order right
+        again = reorder_chain(d, range(6, 1, -1))
+        assert all(a is b for a, b in zip(again.factors, src))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda c: pickle.loads(pickle.dumps(c)),
+            lambda c: dataclasses.replace(c),
+        ],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_clones_of_unread_chains(self, clone):
+        d, r = self.unread()
+        for chain in (d, r, gauge_fix(reorder_chain(d, range(2, 7)))):
+            c = clone(chain)
+            assert [f.order_k for f in c.factors] == chain.orders.tolist()
+            assert np.array_equal(c.chars, chain.chars)
+            assert np.array_equal(compose(c), compose(chain))
+            for f in c.factors:
+                assert np.array_equal(f.char, c.chars[: f.order_k - 1, f.order_k - 2])
+
+    def test_repr_reads_the_factors(self):
+        d = decompose(haar_random(3, 5))
+        text = repr(d)
+        assert text.startswith("Decomposition(ambient_n=3, factors=(Factor(ambient_n=3, order_k=3")
+        assert "orders" not in text and "chars" not in text
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            d.missing
+
+    def test_reorder_loop_keeps_one_source_alive(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        chain = decompose(haar_random(6, 14))
+        refs = []
+        for _ in range(50):
+            refs.append(weakref.ref(chain))
+            chain = reorder_chain(chain, rng.permutation(np.arange(2, 7)))
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 1
+        assert max_abs_diff(compose(chain), compose(decompose(haar_random(6, 14)))) < 1e-12
+
+
 class TestDecompositionJson:
     @pytest.mark.parametrize(
         "n, k", [(3.9, 3.5), (3.9, 3), (3, 3.5), ("3", 3), (3, "3"), (True, 3), (3, True), (3.0, 3)]
@@ -826,4 +898,31 @@ class TestDecompositionJson:
             "beta": [0.0, 0.0],
         }
         with pytest.raises(error):
+            decomposition_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("theta", "0.5"),
+            ("theta", True),
+            ("char", [["1", 0.0]]),
+            ("char", [[1.0, False]]),
+            ("alpha", "00"),
+            ("alpha", [0.0, "0"]),
+            ("beta", [0.0, None]),
+            ("beta", {"0": 0.0, "1": 0.0}),
+        ],
+    )
+    def test_numbers_and_lists_must_be_json_numbers_and_lists(self, field, value):
+        doc = {
+            "n": 2,
+            "order": "ascending",
+            "factors": [{"k": 2, "theta": 0.5, "char": [[1.0, 0.0]]}],
+            "alpha": [0.0, 0.0],
+            "beta": [0.0, 0.0],
+        }
+        before = decomposition_from_json_dict(doc)
+        assert before.thetas.tolist() == [0.5]
+        (doc["factors"][0] if field in ("theta", "char") else doc)[field] = value
+        with pytest.raises(StructureError, match="must be a (number|list)"):
             decomposition_from_json_dict(doc)

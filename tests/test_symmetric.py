@@ -299,6 +299,33 @@ class TestSymmetricJson:
         with pytest.raises(StructureError):
             symmetric_params_from_json_dict({"n": 3, "chars": [[1.0]]})
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_half_angle_must_be_a_json_boolean(self, value):
+        doc = symmetric_params_to_json_dict(random_params(np.random.Generator(np.random.PCG64(12)), 3))
+        doc["half_angle"] = value
+        with pytest.raises(StructureError, match="'half_angle' must be true or false"):
+            symmetric_params_from_json_dict(doc)
+
+    def test_half_angle_absent_means_true(self):
+        doc = symmetric_params_to_json_dict(random_params(np.random.Generator(np.random.PCG64(12)), 3))
+        for value, expect in ((False, False), (True, True)):
+            doc["half_angle"] = value
+            assert symmetric_params_from_json_dict(doc).half_angle is expect
+        del doc["half_angle"]
+        assert symmetric_params_from_json_dict(doc).half_angle is True
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("thetas", "12"), ("thetas", [0.5, "1"]), ("thetas", [True, 0.5]), ("chars", "x"),
+         ("chars", ["1", [0.6, 0.8]]), ("chars", [[1.0], [0.6, "0.8"]]), ("chars", [[1.0], [[0.6, 0.8]]])],
+    )
+    def test_numbers_and_lists_must_be_json_numbers_and_lists(self, field, value):
+        doc = {"n": 3, "thetas": [0.5, 1.0], "chars": [[1.0], [0.6, 0.8]]}
+        symmetric_params_from_json_dict(doc)
+        doc[field] = value
+        with pytest.raises(StructureError, match=f"'{field}'"):
+            symmetric_params_from_json_dict(doc)
+
     @pytest.mark.parametrize("n", [4.0, 4.5, "4", True])
     def test_order_must_be_a_json_integer(self, n):
         doc = symmetric_params_to_json_dict(random_params(np.random.Generator(np.random.PCG64(11)), 4))
