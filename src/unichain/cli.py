@@ -246,7 +246,7 @@ def _cmd_reorder(args) -> int:
 
 def _cmd_invariants(args) -> int:
     obj = _read_json(args.infile)
-    omegas = None
+    omegas = {}
     if isinstance(obj, dict) and "entries" in obj:
         x = mc.matrix_from_json_dict(obj)
     else:
@@ -254,16 +254,15 @@ def _cmd_invariants(args) -> int:
         if not isinstance(d, rp.Decomposition):
             raise mc.DomainError("invariants expects a matrix or a decomposition")
         x = rp.compose(d)
-        if d.ambient_n in (4, 5) and d.order == rp.ASCENDING:
-            omegas = list(inv.omega_from_params(d).omegas)
+        if rp.infer_order(d.orders.tolist()) == rp.ASCENDING:
+            omegas = {"omegas": list(inv.omega_from_params(d).omegas)}
     table = inv.plaquette_table(x)
     payload = {
         "n": table.n,
         "plaquettes": _plaquette_rows(table),
         "triangle_areas": _areas_payload(inv.triangle_areas(x)),
+        **omegas,
     }
-    if omegas is not None:
-        payload["omegas"] = omegas
     _emit_json(args.out, payload)
     return _EXIT_OK
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,6 +30,7 @@ from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
     DomainError,
     PreconditionError,
+    _is_int,
     require_square,
     require_unitary,
     wrap_angle,
@@ -61,8 +61,8 @@ _BLOCK_ENTRIES = 8192
 
 def count_independent_phases(n: int) -> int:
     """Number of independent invariant phases of an n-by-n unitary."""
-    if n < 1:
-        raise DomainError(f"matrix order must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"matrix order must be an integer >= 1, got {n!r}")
     return (n - 1) * (n - 2) // 2
 
 
@@ -72,7 +72,7 @@ def _check_indices(idx, n: int, what: str, count: int) -> tuple:
     out = tuple(idx)
     if len(out) != count:
         raise DomainError(f"{what} indices must be {count} integers, got {idx}")
-    if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in out):
+    if not all(_is_int(i) for i in out):
         raise DomainError(f"{what} indices must be integers, got {idx}")
     out = tuple(int(i) for i in out)
     if not all(1 <= i <= n for i in out):
@@ -301,7 +301,7 @@ def reduce_sextet(x, rows, cols) -> tuple:
     return float(lhs), float(rhs)
 
 
-# --- omega phases and chain symmetries (n = 4, 5) ---------------------------
+# --- omega phases and chain symmetries (every order) ------------------------
 
 
 @dataclass(frozen=True)
@@ -323,16 +323,14 @@ def omega_from_params(d: Decomposition) -> OmegaSet:
     """Assemble the invariant phases from component arguments.
 
     With arg[i, k-2] the argument of component i+1 of the order-k vector,
-    the phases are the singles arg[1, k-2] - arg[0, k-2] for k = 3..n,
-    then the pairs arg[k-2, k-2] + arg[k-1, l-2] - arg[k-2, l-2] for
-    3 <= k < l <= n.  For n = 4, with x the order-3 and y the order-4
-    vector: arg x2 - arg x1, arg y2 - arg y1, arg x2 + arg y3 - arg y2.
-    Values are wrapped into (-pi, pi]; they are unchanged by the chain
-    symmetries of :func:`apply_symmetry`.
+    the (n-1)(n-2)/2 phases, none for n <= 2, are the singles arg[1, k-2] -
+    arg[0, k-2] for k = 3..n, then the pairs arg[k-2, k-2] + arg[k-1, l-2] -
+    arg[k-2, l-2] for 3 <= k < l <= n.  For n = 4, with x the order-3 and y
+    the order-4 vector: arg x2 - arg x1, arg y2 - arg y1, arg x2 + arg y3 -
+    arg y2.  Values are wrapped into (-pi, pi]; they are unchanged by
+    rephasing and by the chain symmetries of :func:`apply_symmetry`.
     """
     n = d.ambient_n
-    if n not in (4, 5):
-        raise DomainError(f"omega phases are defined for n in {{4, 5}}, got n={n}")
     arg = np.angle(_ascending_chars(d)).tolist()
     orders = range(3, n + 1)
     omegas = [arg[1][k - 2] - arg[0][k - 2] for k in orders] + [
@@ -342,25 +340,21 @@ def omega_from_params(d: Decomposition) -> OmegaSet:
     return OmegaSet(n=n, omegas=tuple(wrap_angle(w) for w in omegas))
 
 
-_SYMMETRIES = ("S1", "S2", "S3")
-
-
 def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
     """Transform chain parameters by one of the rephasing symmetries.
 
     S_i, with k = i + 2, multiplies the order-k vector by e^{i phase} and
-    divides component k of every higher-order vector by it: S1 and S2 for
-    n = 4, S1 to S3 for n = 5.  The composed matrix changes only by
+    divides component k of every higher-order vector by it; *which* is one
+    of the names "S1" to "S{n-2}".  The composed matrix changes only by
     external phase matrices, so every plaquette is unchanged.
     """
     n = d.ambient_n
-    if n not in (4, 5):
-        raise DomainError(f"chain symmetries are defined for n in {{4, 5}}, got n={n}")
-    if which not in _SYMMETRIES[: n - 2]:
+    names = [f"S{k - 2}" for k in range(3, n + 1)]
+    if which not in names:
         raise DomainError(f"unsupported symmetry {which!r} for n={n}")
     if not math.isfinite(phase):
         raise DomainError(f"symmetry phase must be finite, got {phase}")
-    k = _SYMMETRIES.index(which) + 3
+    k = names.index(which) + 3
     chars = np.asfortranarray(np.triu(_ascending_chars(d)))  # gauge_fix may pad with -0.0
     rot = np.exp(1j * phase)
     chars[: k - 1, k - 2] *= rot
@@ -406,18 +400,25 @@ def panel_lattice(x) -> PanelLattice:
     return PanelLattice(n=n, panels=panels)
 
 
-# Denominators |V_rc V_r'c'|^2 of the six relations, as 1-based entry pairs.
-_RELATION_DENOMS = (
-    ((1, 2), (2, 2)),
-    ((3, 3), (3, 4)),
-    ((2, 1), (2, 2)),
-    ((3, 3), (4, 3)),
-    ((3, 2), (3, 3)),
-    ((2, 3), (3, 3)),
-)
-
 # The unknowns of the relations: the panels outside the basis J11, J22, J33.
 _DEPENDENT_PANELS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+
+# The six relations in 1-based panel labels: (unknown U, coupled panel C, basis panel B, whether
+# the 1 joins the coupling term).  A row reads J_U - (1 + R_B/m) J_C = (R_C/m) J_B, or else
+# J_U - (R_B/m) J_C = (1 + R_C/m) J_B; m = |V_rc V_r'c'|^2 over the two entries C and B share
+# (panel (p, q) covers rows p, p + 1 and columns q, q + 1).
+_RELATIONS = (
+    ((1, 3), (1, 2), (1, 1), True),
+    ((1, 3), (2, 3), (3, 3), True),
+    ((3, 1), (2, 1), (1, 1), True),
+    ((3, 1), (3, 2), (3, 3), True),
+    ((1, 2), (3, 2), (2, 2), False),
+    ((2, 1), (2, 3), (2, 2), False),
+)
+_RELATION_ENTRIES = tuple(  # (r, c) and (r', c') of each relation's m, row-major
+    [(r, c) for r in range(max(p, s), min(p, s) + 2) for c in range(max(q, t), min(q, t) + 2)]
+    for _, (p, q), (s, t), _ in _RELATIONS
+)
 
 
 def _relation_system(x) -> tuple:
@@ -431,26 +432,24 @@ def _relation_system(x) -> tuple:
     x = require_square(x)
     if x.shape[0] != 4:
         raise DomainError(f"the six panel relations are specific to n=4, got n={x.shape[0]}")
-    lat = panel_lattice(x)
-    J, R = lat.J, lat.R
-    m = []
-    for (r1, c1), (r2, c2) in _RELATION_DENOMS:
-        for (r, c) in ((r1, c1), (r2, c2)):
+    panels = panel_lattice(x).panels.tolist()
+    panel = {(p + 1, q + 1): v for p, row in enumerate(panels) for q, v in enumerate(row)}
+    a, b = np.zeros((6, 6)), np.zeros(6)
+    for i, (unknown, coupled, basis, one_couples) in enumerate(_RELATIONS):
+        (r1, c1), (r2, c2) = shared = _RELATION_ENTRIES[i]
+        for r, c in shared:
             if abs(x[r - 1, c - 1]) <= RELATION_ZERO_TOL:
                 raise PreconditionError(
                     f"matrix element V[{r},{c}] has modulus {abs(x[r - 1, c - 1]):.3e} "
                     f"<= {RELATION_ZERO_TOL}; the panel relations divide by it"
                 )
-        m.append(abs(x[r1 - 1, c1 - 1] * x[r2 - 1, c2 - 1]) ** 2)
-    a = np.zeros((6, 6))
-    b = np.zeros(6)
-    a[0, 1], a[0, 0], b[0] = 1.0, -(1 + R[0, 0] / m[0]), (R[0, 1] / m[0]) * J[0, 0]
-    a[1, 1], a[1, 3], b[1] = 1.0, -(1 + R[2, 2] / m[1]), (R[1, 2] / m[1]) * J[2, 2]
-    a[2, 4], a[2, 2], b[2] = 1.0, -(1 + R[0, 0] / m[2]), (R[1, 0] / m[2]) * J[0, 0]
-    a[3, 4], a[3, 5], b[3] = 1.0, -(1 + R[2, 2] / m[3]), (R[2, 1] / m[3]) * J[2, 2]
-    a[4, 0], a[4, 5], b[4] = 1.0, -(R[1, 1] / m[4]), (1 + R[2, 1] / m[4]) * J[1, 1]
-    a[5, 2], a[5, 3], b[5] = 1.0, -(R[1, 1] / m[5]), (1 + R[1, 2] / m[5]) * J[1, 1]
-    j_direct = np.array([J[p - 1, q - 1] for p, q in _DEPENDENT_PANELS])
+        m = abs(x[r1 - 1, c1 - 1] * x[r2 - 1, c2 - 1]) ** 2
+        pb, pc = panel[basis], panel[coupled]
+        rb, rc = pb.real / m, pc.real / m
+        a[i, _DEPENDENT_PANELS.index(unknown)] = 1.0
+        a[i, _DEPENDENT_PANELS.index(coupled)] = -(1 + rb) if one_couples else -rb
+        b[i] = (rc if one_couples else 1 + rc) * pb.imag
+    j_direct = np.array([panel[p].imag for p in _DEPENDENT_PANELS])
     return a, b, j_direct
 
 
@@ -707,19 +706,13 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
         raise DomainError("texture is degenerate: the order-3 angle vanishes")
     ratio = -(s4**2) / s3**2
 
-    ab = np.abs(std)
-    modulus_ratio_sq = {
-        "corner_products_rows": (ab[1, 3] * ab[2, 3] / (ab[1, 0] * ab[2, 0])) ** 2,
-        "corner_products_cols": (ab[3, 1] * ab[3, 2] / (ab[0, 1] * ab[0, 2])) ** 2,
-        "modulus_sums_rows": (
-            (ab[1, 3] ** 2 + ab[2, 3] ** 2) / (ab[0, 1] ** 2 + ab[0, 2] ** 2)
-        )
-        ** 2,
-        "modulus_sums_cols": (
-            (ab[3, 1] ** 2 + ab[3, 2] ** 2) / (ab[1, 0] ** 2 + ab[2, 0] ** 2)
-        )
-        ** 2,
-    }
+    corners, sums = zip(*(  # one rule: the column ratios are the row ratios of |V|^T
+        ((m[1, 3] * m[2, 3] / (m[1, 0] * m[2, 0])) ** 2,
+         ((m[1, 3] ** 2 + m[2, 3] ** 2) / (m[0, 1] ** 2 + m[0, 2] ** 2)) ** 2)
+        for m in (np.abs(std), np.abs(std).T)
+    ))
+    keys = [f"{q}_{kind}" for q in ("corner_products", "modulus_sums") for kind in ("rows", "cols")]
+    modulus_ratio_sq = dict(zip(keys, corners + sums))
 
     return ZeroTextureReport(
         J=float(j_val),

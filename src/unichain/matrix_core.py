@@ -150,9 +150,14 @@ def haar_random(n: int, seed: int) -> np.ndarray:
 # are strings or booleans, and orders that are not JSON integers.
 
 
+def _is_int(value) -> bool:
+    """Python and numpy integers but not bools: the package's rule for orders and indices."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def json_int(value, what: str) -> int:
     """An integer field of a JSON document; a bool, float or string is a :class:`StructureError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise StructureError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -42,6 +42,7 @@ from .matrix_core import (
     DomainError,
     ShapeError,
     StructureError,
+    _is_int,
     complex_from_pairs,
     complex_to_pairs,
     json_float,
@@ -116,15 +117,16 @@ class Factor:
     char: np.ndarray
 
     def __post_init__(self):
-        if self.ambient_n < 2:
-            raise DomainError(f"ambient dimension must be >= 2, got {self.ambient_n}")
-        if not (2 <= self.order_k <= self.ambient_n):
-            raise DomainError(
-                f"factor order must satisfy 2 <= k <= n, got k={self.order_k}, n={self.ambient_n}"
-            )
+        n, k = self.ambient_n, self.order_k
+        if not (_is_int(n) and _is_int(k)):
+            raise DomainError(f"ambient_n and order_k must be integers, got {n!r} and {k!r}")
+        if n < 2:
+            raise DomainError(f"ambient dimension must be >= 2, got {n}")
+        if not (2 <= k <= n):
+            raise DomainError(f"factor order must satisfy 2 <= k <= n, got k={k}, n={n}")
         if not math.isfinite(self.theta):
             raise DomainError("theta must be finite")
-        v = _as_char(self.char, self.order_k)
+        v = _as_char(self.char, k)
         v.setflags(write=False)
         object.__setattr__(self, "char", v)
 
@@ -463,10 +465,10 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     Factors whose order relative to every lower-order factor is kept come
     back as the same objects.
     """
-    target = [int(k) for k in target]
-    n = d.ambient_n
-    if sorted(target) != list(range(2, n + 1)):
+    target, n = list(target), d.ambient_n
+    if not all(map(_is_int, target)) or sorted(target) != list(range(2, n + 1)):
         raise DomainError(f"target {target} is not a permutation of 2..{n}")
+    target = [int(k) for k in target]
     ranks = np.argsort([d.orders, target], axis=1)  # of order k at k - 2 (source, target)
     # Entry [l - 2, k - 2]: k is above l and right of it (source, target).
     s_up, t_up = _padding(n - 1).T & (ranks[:, :, None] < ranks[:, None, :])

@@ -11,12 +11,18 @@ import pytest
 from helpers import cli_env, run_cli, texture_matrix
 from unichain import cli
 from unichain.cli import MAX_GEN_N, main
-from unichain.invariants import MAX_TABLE_ENTRIES, plaquette_table, triangle_areas
+from unichain.invariants import (
+    MAX_TABLE_ENTRIES,
+    omega_from_params,
+    plaquette_table,
+    triangle_areas,
+)
 from unichain.matrix_core import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
 )
+from unichain.recursive_param import decomposition_from_json_dict
 
 
 def write_matrix(tmp_path, name, x):
@@ -149,6 +155,40 @@ class TestInvariantsCommand:
         report = json.loads(res.stdout)
         assert len(report["omegas"]) == 3
         assert len(report["plaquettes"]) == 36
+
+    @staticmethod
+    def canonical_chain(n):
+        gen = run_cli(["gen", "--n", str(n), "--seed", "3"])
+        dec = run_cli(["decompose", "--order", "asc", "--gauge", "canonical"], stdin=gen.stdout)
+        assert dec.returncode == 0, dec.stderr
+        return json.loads(dec.stdout)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_canonical_chain_omegas_at_every_order(self, n):
+        doc = self.canonical_chain(n)
+        res = run_cli(["invariants"], stdin=json.dumps(doc))
+        assert res.returncode == 0, res.stderr
+        expected = omega_from_params(decomposition_from_json_dict(doc)).omegas
+        assert json.loads(res.stdout)["omegas"] == list(expected)
+        assert len(expected) == (n - 1) * (n - 2) // 2
+
+    def test_no_omegas_at_n2(self):
+        res = run_cli(["invariants"], stdin=json.dumps(self.canonical_chain(2)))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["omegas"] == []
+
+    def test_custom_tagged_ascending_chain_gets_omegas(self):
+        doc = {**self.canonical_chain(4), "order": "custom"}
+        res = run_cli(["invariants"], stdin=json.dumps(doc))
+        assert res.returncode == 0, res.stderr
+        expected = omega_from_params(decomposition_from_json_dict(doc)).omegas
+        assert json.loads(res.stdout)["omegas"] == list(expected)
+
+    def test_descending_chain_gets_no_omegas(self):
+        gen = run_cli(["gen", "--n", "4", "--seed", "3"])
+        res = run_cli(["invariants"], stdin=run_cli(["decompose"], stdin=gen.stdout).stdout)
+        assert res.returncode == 0, res.stderr
+        assert "omegas" not in json.loads(res.stdout)
 
 
 class TestZeroTextureCommand:

@@ -231,6 +231,12 @@ class TestIndexArguments:
         with pytest.raises(DomainError, match="must be integers"):
             reduce_sextet(self.X, rows, cols)
 
+    def test_refusal_names_the_argument(self):
+        with pytest.raises(DomainError, match="column indices must be integers"):
+            plaquette(self.X, (1, 2), (1, 2.0))
+        with pytest.raises(DomainError, match="row indices must be integers"):
+            reduce_sextet(self.X, (1, 2, np.float64(3)), (1, 2, 3))
+
     def test_numpy_integers_accepted(self):
         table = plaquette_table(self.X)
         rows, cols = (np.int64(4), np.int32(2)), (np.uint8(1), np.int16(5))

@@ -12,6 +12,7 @@ from unichain.matrix_core import (
     max_abs_diff,
     maxnorm,
     phase_matrix,
+    wrap_angle,
 )
 from unichain.invariants import (
     apply_symmetry,
@@ -294,10 +295,68 @@ class TestOmega:
         for a, b in zip(base, omega_from_params(d2).omegas):
             assert abs(a - b) < 1e-14
 
-    def test_unsupported_order_rejected(self):
+    def test_n3_single_phase(self):
         rng = np.random.Generator(np.random.PCG64(5))
-        with pytest.raises(DomainError):
-            omega_from_params(random_ascending_chain(rng, 3))
+        d = random_ascending_chain(rng, 3)
+        x = d.chars[:, 1]
+        (w,) = omega_from_params(d).omegas
+        assert abs(wrap_angle(w - (np.angle(x[1]) - np.angle(x[0])))) < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_phases_below_n3(self, n):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(n)), n)
+        assert omega_from_params(d).omegas == ()
+
+
+def canonical_chain(x):
+    """The canonical chain of *x*: decompose, reorder ascending, fix the gauge."""
+    n = x.shape[0]
+    return gauge_fix(reorder_chain(decompose(x), range(2, n + 1)))
+
+
+def max_wrapped_diff(a, b) -> float:
+    assert len(a) == len(b)
+    return max((abs(wrap_angle(p - q)) for p, q in zip(a, b)), default=0.0)
+
+
+class TestEveryOrder:
+    """Omega phases and chain symmetries by the one index rule, beyond n = 4, 5."""
+
+    @pytest.mark.parametrize("n", [3, 6, 8, 16])
+    def test_count(self, n):
+        d = canonical_chain(haar_random(n, 60 + n))
+        assert len(omega_from_params(d).omegas) == count_independent_phases(n)
+
+    @pytest.mark.parametrize("n", [3, 6, 8, 16])
+    def test_rephasing_invariance(self, n):
+        rng = np.random.Generator(np.random.PCG64(70 + n))
+        x = haar_random(n, 70 + n)
+        d1, d2 = (phase_matrix(rng.uniform(-math.pi, math.pi, n)) for _ in range(2))
+        base = omega_from_params(canonical_chain(x)).omegas
+        moved = omega_from_params(canonical_chain(d1 @ x @ d2)).omegas
+        assert max_wrapped_diff(base, moved) < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 6, 8, 16])
+    def test_every_symmetry(self, n):
+        rng = np.random.Generator(np.random.PCG64(80 + n))
+        d = canonical_chain(haar_random(n, 80 + n))
+        base, table = omega_from_params(d).omegas, plaquette_table(compose(d))
+        for i in range(1, n - 1):
+            out = apply_symmetry(d, f"S{i}", rng.uniform(-math.pi, math.pi))
+            assert max_wrapped_diff(base, omega_from_params(out).omegas) < 1e-14
+            assert table.max_abs_diff(plaquette_table(compose(out))) < 1e-15
+
+    def test_closed_form_n3_from_omega(self):
+        for seed in range(10):
+            d = canonical_chain(haar_random(3, 90 + seed))
+            t2, t3 = d.thetas.tolist()
+            x1, x2 = np.abs(d.chars[:, 1])
+            (w1,) = omega_from_params(d).omegas
+            expected = (
+                math.cos(t2) * math.cos(t3) * math.sin(t2) * math.sin(t3) ** 2
+                * x1 * x2 * math.sin(w1)
+            )
+            assert abs(closed_form_j_n3(d) - expected) < 1e-15
 
 
 # Entries (row, column) of ``chars`` each symmetry multiplies by e^{i phase}, then those it
@@ -370,12 +429,23 @@ class TestApplySymmetry:
             d = apply_symmetry(d, which, phase)
         assert base.max_abs_diff(plaquette_table(compose(d))) < 1e-12
 
-    def test_unsupported_combinations_rejected(self):
-        rng = np.random.Generator(np.random.PCG64(11))
-        with pytest.raises(DomainError):
-            apply_symmetry(random_ascending_chain(rng, 4), "S3", 0.1)
-        with pytest.raises(DomainError):
-            apply_symmetry(random_ascending_chain(rng, 3), "S1", 0.1)
+    def test_s1_defined_at_n3(self):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(11)), 3)
+        out = apply_symmetry(d, "S1", 0.1)
+        assert abs(out.chars[0, 1] - d.chars[0, 1] * np.exp(0.1j)) < 1e-15
+        assert plaquette_table(compose(d)).max_abs_diff(plaquette_table(compose(out))) < 1e-15
+
+    @pytest.mark.parametrize("which", ["S0", "S3", "S01", "s1", "S1.0", " S1", "S\u0661", 1, None])
+    def test_names_outside_s1_to_s_n_minus_2_rejected(self, which):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(11)), 4)
+        with pytest.raises(DomainError, match="unsupported symmetry"):
+            apply_symmetry(d, which, 0.1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_symmetries_below_n3(self, n):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(n)), n)
+        with pytest.raises(DomainError, match="unsupported symmetry"):
+            apply_symmetry(d, "S1", 0.1)
 
     def test_non_finite_phase_rejected(self):
         d = random_ascending_chain(np.random.Generator(np.random.PCG64(12)), 4)
@@ -742,3 +812,11 @@ class TestCountIndependentPhases:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             count_independent_phases(0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4", None])
+    def test_rejects_non_integers(self, n):
+        with pytest.raises(DomainError, match="matrix order must be an integer"):
+            count_independent_phases(n)
+
+    def test_numpy_integers_accepted(self):
+        assert count_independent_phases(np.int64(4)) == 3

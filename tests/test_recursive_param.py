@@ -188,6 +188,17 @@ class TestEmbed:
         with pytest.raises(DomainError):
             Factor(3, 4, 0.1, [1, 0, 0] / np.linalg.norm([1, 0, 0]))
 
+    @pytest.mark.parametrize(
+        "n, k, char", [(3, 3.0, [1.0, 0.0]), (3, 2.5, [1.0]), (3.0, 2, [1.0]), (True, 2, [1.0])]
+    )
+    def test_non_integer_orders_rejected(self, n, k, char):
+        with pytest.raises(DomainError, match="ambient_n and order_k must be integers"):
+            Factor(n, k, 0.4, char)
+
+    def test_numpy_integer_orders_accepted(self):
+        f = Factor(np.int64(3), np.int32(3), 0.4, [1.0, 0.0])
+        assert (f.ambient_n, f.order_k) == (3, 3)
+
 
 class TestApplyFactor:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -579,6 +590,20 @@ class TestReorderChain:
         d = random_chain(rng, 4)
         with pytest.raises(DomainError):
             reorder_chain(d, [2, 3, 3])
+
+    @pytest.mark.parametrize(
+        "target", [[4.9, 2.2, 3.7], [4.0, 2, 3], ["4", "2", "3"], [True, 4, 3], [np.float64(4), 2, 3]]
+    )
+    def test_non_integer_target_rejected(self, target):
+        d = random_chain(np.random.Generator(np.random.PCG64(28)), 4)
+        with pytest.raises(DomainError, match="target .* is not a permutation"):
+            reorder_chain(d, target)
+
+    def test_numpy_integer_target_accepted(self):
+        d = random_chain(np.random.Generator(np.random.PCG64(28)), 4)
+        out = reorder_chain(d, np.array([4, 2, 3]))
+        assert out.orders.tolist() == [4, 2, 3]
+        assert out.chars.tobytes() == reorder_chain(d, [4, 2, 3]).chars.tobytes()
 
     def test_custom_tag(self):
         rng = np.random.Generator(np.random.PCG64(29))
