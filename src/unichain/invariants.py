@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -66,9 +67,9 @@ def count_independent_phases(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _check_indices(idx, n: int, what: str, count: int) -> tuple:
+def _check_indices(idx, n: int, what: str, count: int, distinct: bool = True) -> tuple:
     """The 1-based indices *idx* as a tuple of ints, checked to be *count* integers (numpy
-    integers count, bools do not) in 1..n and distinct."""
+    integers count, bools do not) in 1..n, and distinct unless *distinct* is false."""
     out = tuple(idx)
     if len(out) != count:
         raise DomainError(f"{what} indices must be {count} integers, got {idx}")
@@ -77,7 +78,7 @@ def _check_indices(idx, n: int, what: str, count: int) -> tuple:
     out = tuple(int(i) for i in out)
     if not all(1 <= i <= n for i in out):
         raise DomainError(f"{what} indices {idx} out of range 1..{n}")
-    if len(set(out)) != len(out):
+    if distinct and len(set(out)) != len(out):
         raise DomainError(f"{what} indices must be distinct, got {idx}")
     return out
 
@@ -352,6 +353,8 @@ def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
     names = [f"S{k - 2}" for k in range(3, n + 1)]
     if which not in names:
         raise DomainError(f"unsupported symmetry {which!r} for n={n}")
+    if isinstance(phase, bool) or not isinstance(phase, numbers.Real):
+        raise DomainError(f"symmetry phase must be a real number, got {phase!r}")
     if not math.isfinite(phase):
         raise DomainError(f"symmetry phase must be finite, got {phase}")
     k = names.index(which) + 3
@@ -384,6 +387,7 @@ class PanelLattice:
 
     def panel(self, a: int, b: int) -> complex:
         """P_ab, 1-based: the plaquette of rows (a, a+1) and columns (b, b+1)."""
+        a, b = _check_indices((a, b), self.n - 1, "panel", 2, distinct=False)
         return complex(self.panels[a - 1, b - 1])
 
 

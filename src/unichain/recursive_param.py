@@ -258,9 +258,8 @@ class Decomposition:
     ``thetas``, entry k - 2 the order-k angle; and ``chars``, the
     zero-padded (n-1)-by-(n-1) array whose column k - 2 holds the order-k
     vector.  The constructor copies its input into them and checks the
-    vectors once per chain.  ``factors`` are views of them, built on first
-    read; a factor that :func:`reorder_chain` kept is the source chain's
-    own object, whichever chain is read first.
+    vectors once per chain.  ``factors`` are read-only views of them,
+    built on first read.
     """
 
     ambient_n: int
@@ -274,6 +273,8 @@ class Decomposition:
 
     def __post_init__(self):
         n = self.ambient_n
+        if not _is_int(n):
+            raise DomainError(f"ambient_n must be an integer, got {n!r}")
         if n < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
         factors = tuple(self.factors)
@@ -309,42 +310,34 @@ class Decomposition:
         self._store(ks, thetas, chars, left, right)
 
     @classmethod
-    def _of(cls, n, orders, thetas, chars, left, right, order, kept=None) -> "Decomposition":
-        """A chain on arrays the package built, shapes unchecked; *kept* pairs a source chain
-        with moved flags (entry k - 2 for order k): its unmoved factors are reused."""
+    def _of(cls, n, orders, thetas, chars, left, right, order) -> "Decomposition":
+        """A chain on arrays the package built, shapes unchecked."""
         d = object.__new__(cls)
         d.__dict__.update(ambient_n=n, order=order)
-        d._store(orders, thetas, chars, left, right, kept)
+        d._store(orders, thetas, chars, left, right)
         return d
 
-    def _store(self, orders, thetas, chars, left, right, kept=None):
+    def _store(self, orders, thetas, chars, left, right):
         """Check *chars* and freeze the arrays; the factors are built on first read."""
         _check_chars(chars)
         orders = np.array(orders, dtype=np.intp)
         for a in (orders, thetas, chars, left, right):
             a.setflags(write=False)
-        if kept and kept[0].__dict__.get("_kept"):
-            kept[0].factors  # resolve the source first: no chain holds more than one other
         self.__dict__.pop("factors", None)
         self.__dict__.update(
-            left_phases=left, right_phases=right, orders=orders, thetas=thetas, chars=chars,
-            _kept=kept,
+            left_phases=left, right_phases=right, orders=orders, thetas=thetas, chars=chars
         )
 
     def __getattr__(self, name):
-        """Build ``factors`` on first read: views of the arrays, or the source's kept factors."""
+        """Build ``factors`` on first read: one view of the arrays per order."""
         state = self.__dict__
         if name != "factors" or "chars" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, moved = state.pop("_kept", None) or (None, None)
-        same = {f.order_k: f for f in source.factors if not moved[f.order_k - 2]} if source else {}
         n, ts, chars = self.ambient_n, self.thetas.tolist(), self.chars
         factors = []
         for k in self.orders.tolist():
-            f = same.get(k)
-            if f is None:
-                f = object.__new__(Factor)
-                f.__dict__.update(ambient_n=n, order_k=k, theta=ts[k - 2], char=chars[: k - 1, k - 2])
+            f = object.__new__(Factor)
+            f.__dict__.update(ambient_n=n, order_k=k, theta=ts[k - 2], char=chars[: k - 1, k - 2])
             factors.append(f)
         state["factors"] = factors = tuple(factors)
         return factors
@@ -359,7 +352,7 @@ class Decomposition:
     @property
     def parameter_count(self) -> int:
         """Real parameters under the canonical counting: sum(2k-2) + n = n^2."""
-        return sum(2 * f.order_k - 2 for f in self.factors) + self.ambient_n
+        return sum(2 * k - 2 for k in self.orders.tolist()) + self.ambient_n
 
 
 def compose(d: Decomposition) -> np.ndarray:
@@ -462,8 +455,7 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     vector columns apply them (each factor's block right to left over the
     source; its inverse, with its final vector, left to right over the
     target): at most 2(n - 2) kernel calls, n - 2 for a monotone target.
-    Factors whose order relative to every lower-order factor is kept come
-    back as the same objects.
+    The result holds no link to *d*: its factors are views of its own arrays.
     """
     target, n = list(target), d.ambient_n
     if not all(map(_is_int, target)) or sorted(target) != list(range(2, n + 1)):
@@ -506,9 +498,8 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
             a /= math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula
         if k in todo:
             sweep(-thetas[k - 2], a, k, todo[k])
-    return Decomposition._of(
-        n, target, d.thetas, chars, d.left_phases, d.right_phases, infer_order(target), (d, moved)
-    )
+    order = infer_order(target)
+    return Decomposition._of(n, target, d.thetas, chars, d.left_phases, d.right_phases, order)
 
 
 def gauge_fix(d: Decomposition) -> Decomposition:

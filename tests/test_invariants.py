@@ -453,6 +453,18 @@ class TestApplySymmetry:
             with pytest.raises(DomainError, match="phase must be finite"):
                 apply_symmetry(d, "S1", phase)
 
+    @pytest.mark.parametrize("phase", ["0.5", None, True, 0.5j, [0.5]])
+    def test_non_real_phase_rejected(self, phase):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(12)), 4)
+        with pytest.raises(DomainError, match="phase must be a real number"):
+            apply_symmetry(d, "S1", phase)
+
+    def test_integer_and_numpy_phases_accepted(self):
+        d = random_ascending_chain(np.random.Generator(np.random.PCG64(12)), 4)
+        want = apply_symmetry(d, "S1", 1.0).chars.tobytes()
+        for phase in (1, np.int64(1), np.float64(1.0)):
+            assert apply_symmetry(d, "S1", phase).chars.tobytes() == want
+
 
 class TestPanelLattice:
     def test_grid_shape(self):
@@ -478,6 +490,27 @@ class TestPanelLattice:
             ((3, 2), (3, 4), (2, 3)),
         ):
             assert abs(lat.panel(a, b).imag - t.im(rows, cols)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (0, 0, "out of range 1..3"),
+            (-1, 1, "out of range 1..3"),
+            (4, 1, "out of range 1..3"),
+            (1, 4, "out of range 1..3"),
+            (True, 1, "must be integers"),
+            (1.5, 1, "must be integers"),
+        ],
+    )
+    def test_labels_outside_1_to_n_minus_1_rejected(self, a, b, message):
+        lat = panel_lattice(haar_random(4, 3))
+        with pytest.raises(DomainError, match=f"panel indices .*{message}"):
+            lat.panel(a, b)
+
+    def test_equal_and_numpy_labels_accepted(self):
+        lat = panel_lattice(haar_random(4, 3))
+        assert lat.panel(np.int64(3), np.int32(3)) == complex(lat.panels[2, 2])
+        assert lat.panel(1, 1) == complex(lat.panels[0, 0])
 
 
 class TestPanelRelations:

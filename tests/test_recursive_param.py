@@ -498,8 +498,10 @@ def assert_matches_swap_fold(d, target):
     assert [f.theta for f in out] == [f.theta for f in ref]
     for a, b in zip(out, ref):
         assert max_abs_diff(a.char, b.char) < 1e-14
-        # A factor no swap rotated comes back as the same object, in both.
-        assert (a is b) == any(b is f for f in d.factors)
+        assert np.shares_memory(a.char, moved.chars)
+        # A factor no swap rotated keeps the source's bits.
+        if any(b is f for f in d.factors):
+            assert a.char.tobytes() == b.char.tobytes()
     assert max_abs_diff(compose(moved), compose(d)) < 1e-11
 
 
@@ -508,8 +510,10 @@ class TestReorderChain:
         rng = np.random.Generator(np.random.PCG64(25))
         d = random_chain(rng, 5)
         out = reorder_chain(d, range(2, 6))
+        assert out.chars.tobytes() == d.chars.tobytes()
         for a, b in zip(out.factors, d.factors):
-            assert a is b
+            assert a is not b and a.theta == b.theta
+            assert np.shares_memory(a.char, out.chars)
             assert max_abs_diff(a.char, b.char) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -749,11 +753,10 @@ class TestChainStorage:
             for f in d.factors:
                 k = f.order_k
                 assert not f.char.flags.writeable
+                assert np.shares_memory(f.char, d.chars)
                 assert f.theta == d.thetas[k - 2]
                 assert np.array_equal(f.char, d.chars[: k - 1, k - 2])
                 assert d.factor(k) is f
-        for d in (decompose(haar_random(5, 10)), random_chain(np.random.Generator(np.random.PCG64(37)), 5)):
-            assert all(np.shares_memory(f.char, d.chars) for f in d.factors)
 
     def test_constructor_copies_its_input(self):
         rng = np.random.Generator(np.random.PCG64(38))
@@ -767,6 +770,18 @@ class TestChainStorage:
             a[:] = 7.0
         assert np.array_equal(d.chars, stored)
         assert np.array_equal(compose(d), before)
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_non_integer_ambient_n_rejected(self, n):
+        factors = decompose(haar_random(3, 1)).factors
+        with pytest.raises(DomainError, match="ambient_n must be an integer"):
+            Decomposition(n, factors, np.zeros(3), np.zeros(3), DESCENDING)
+
+    def test_numpy_integer_ambient_n_accepted(self):
+        d = decompose(haar_random(3, 1))
+        c = Decomposition(np.int64(3), d.factors, np.zeros(3), d.right_phases, DESCENDING)
+        assert c.chars.tobytes() == d.chars.tobytes()
+        assert np.array_equal(compose(c), compose(d))
 
     def test_chain_check_rules_and_messages(self):
         import unichain.recursive_param as rp
@@ -786,8 +801,7 @@ class TestChainStorage:
 
 
 class TestLazyFactors:
-    """A chain builds its factor views on first read; reorder_chain's kept factors are
-    its source's own objects whichever chain is read first."""
+    """A chain builds its factor views on first read, from its own arrays only."""
 
     def unread(self):
         d = decompose(haar_random(6, 12))
@@ -798,19 +812,36 @@ class TestLazyFactors:
         g = gauge_fix(reorder_chain(d, range(2, 7)))
         assert not any("factors" in vars(c) for c in (d, r, g))
         assert r.factor(6) is r.factors[2]
-        assert "factors" in vars(r) and "factors" in vars(d)  # r's kept factors came from d
+        assert "factors" in vars(r)
+
+    def test_reading_a_reordered_chain_builds_nothing_in_its_source(self):
+        d, r = self.unread()
+        before = dict(vars(d))
+        r.factors
+        assert vars(d) == before
+
+    def test_source_freed_once_reordered(self):
+        d, r = self.unread()
+        ref, y = weakref.ref(d), compose(d)
+        del d
+        assert ref() is None  # no reference cycle: freed without a collection
+        assert max_abs_diff(compose(r), y) < 1e-12
 
     @pytest.mark.parametrize("source_first", [False, True])
-    def test_identity_rule_in_either_read_order(self, source_first):
+    def test_unmoved_factors_keep_their_bits_in_either_read_order(self, source_first):
         d, r = self.unread()
         first = d.factors if source_first else None
         got = r.factors
         src = d.factors
         assert first is None or first is src
-        kept = {f.order_k for f in got if any(f is g for g in src)}
+        assert not any(f is g for f in got for g in src)
+        by_order = {g.order_k: g for g in src}
+        kept = {f.order_k for f in got if f.char.tobytes() == by_order[f.order_k].char.tobytes()}
         assert kept == {2, 4}  # from 6, 5, 4, 3, 2 only 2 and 4 keep every lower order right
         again = reorder_chain(d, range(6, 1, -1))
-        assert all(a is b for a, b in zip(again.factors, src))
+        assert again.chars.tobytes() == d.chars.tobytes()
+        for a, b in zip(again.factors, src):
+            assert a.theta == b.theta and a.char.tobytes() == b.char.tobytes()
 
     @pytest.mark.parametrize(
         "clone",
@@ -840,7 +871,7 @@ class TestLazyFactors:
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             d.missing
 
-    def test_reorder_loop_keeps_one_source_alive(self):
+    def test_reorder_loop_keeps_no_source_alive(self):
         rng = np.random.Generator(np.random.PCG64(13))
         chain = decompose(haar_random(6, 14))
         refs = []
@@ -848,7 +879,7 @@ class TestLazyFactors:
             refs.append(weakref.ref(chain))
             chain = reorder_chain(chain, rng.permutation(np.arange(2, 7)))
         gc.collect()
-        assert sum(ref() is not None for ref in refs) <= 1
+        assert sum(ref() is not None for ref in refs) == 0
         assert max_abs_diff(compose(chain), compose(decompose(haar_random(6, 14)))) < 1e-12
 
 
