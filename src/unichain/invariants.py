@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -53,7 +54,7 @@ RELATION_COND_LIMIT = 1e12
 TEXTURE_VANISH_TOL = 1e-10
 #: Largest |order-2 scalar - 1| of a chain the closed forms accept as pinned to 1.
 PINNED_SCALAR_TOL = 1e-9
-#: Most entries ``plaquette_table`` builds: the n = 64 table, 2016^2 entries (62 MB).
+#: Most entries a plaquette table may have: the n = 64 table, 2016^2 entries (62 MB).
 MAX_TABLE_ENTRIES = 2016**2
 #: Most entries one block of the plaquette-table and polygon-area kernels computes at once:
 #: small orders take one block, and every temporary of a block stays within 64 KB.
@@ -208,25 +209,6 @@ class PlaquetteTable:
     def re(self, rows, cols) -> float:
         return self.value(rows, cols).real
 
-    def max_abs_diff(self, other: "PlaquetteTable") -> float:
-        """Largest entrywise |difference| (``hypot``, as ``abs`` of a complex); 0.0 for n < 2."""
-        if other.n != self.n:
-            raise DomainError("tables belong to different matrix orders")
-        step, peaks = _table_blocks(self.n)[0], []
-        for start in range(0, len(self.values), step):  # bounded temporaries, exact maximum
-            rows = slice(start, start + step)
-            diff = self.values[rows] - other.values[rows]
-            peaks.append(np.max(np.hypot(diff.real, diff.imag)))
-        return float(np.max(peaks, initial=0.0))
-
-
-def _table_size(n: int) -> int:
-    """The m = n(n-1)/2 pairs of an order-n table; refuses m^2 over ``MAX_TABLE_ENTRIES``."""
-    m = n * (n - 1) // 2
-    if m * m > MAX_TABLE_ENTRIES:
-        raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
-    return m
-
 
 @functools.lru_cache(maxsize=8)
 def _table_blocks(n: int) -> tuple:
@@ -238,32 +220,47 @@ def _table_blocks(n: int) -> tuple:
     return (step, *_read_only(offsets + j, offsets + k))
 
 
-def plaquette_table(x) -> PlaquetteTable:
-    """All canonical plaquettes of a unitary of order at most 64 (``MAX_TABLE_ENTRIES``)."""
-    x = require_unitary(x)
+def _table_rows(x: np.ndarray) -> Iterator:
+    """The plaquettes of the checked square matrix *x*, (rows, re, im) per block of row pairs
+    *rows*, m = n(n-1)/2 columns each.  The call refuses m^2 over ``MAX_TABLE_ENTRIES`` and
+    builds the m-by-n side matrix; each block is computed as it is read."""
     n = x.shape[0]
-    m = _table_size(n)
+    m = n * (n - 1) // 2
+    if m * m > MAX_TABLE_ENTRIES:
+        raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
     # Row and column pairs share ``combinations`` order; one m-by-n side matrix.
     j, k = _pair_indices(n)
     sr, si = _sides(x.real, x.imag, j, k)
     step, take_j, take_k = _table_blocks(n)
-    values = np.empty((m, m), dtype=np.complex128)
     # Blocks of whole row pairs, at most _BLOCK_ENTRIES entries: small tables take one block
     # and large ones keep every temporary cache-sized.  Flat ``take`` gathers cost the same
     # per entry however few row pairs a block holds.
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
-        br, bi = sr[rows], si[rows]
-        tj, tk = take_j[: len(br)], take_k[: len(br)]
-        ar, ai, cr, ci = br.take(tj), bi.take(tj), br.take(tk), bi.take(tk)
-        # _mul_conj(ar, ai, cr, ci) in place on the fresh gathers, product for product.
-        re = ar * cr
-        cr *= ai
-        ai *= ci
-        re += ai
-        ar *= ci
-        cr -= ar
-        values.real[rows], values.imag[rows] = re, cr
+    def blocks():
+        for start in range(0, m, step):
+            rows = slice(start, start + step)
+            br, bi = sr[rows], si[rows]
+            tj, tk = take_j[: len(br)], take_k[: len(br)]
+            ar, ai, cr, ci = br.take(tj), bi.take(tj), br.take(tk), bi.take(tk)
+            # _mul_conj(ar, ai, cr, ci) in place on the fresh gathers, product for product.
+            re = ar * cr
+            cr *= ai
+            ai *= ci
+            re += ai
+            ar *= ci
+            cr -= ar
+            yield rows, re, cr
+
+    return blocks()
+
+
+def plaquette_table(x) -> PlaquetteTable:
+    """All canonical plaquettes of a unitary of order at most 64 (``MAX_TABLE_ENTRIES``)."""
+    x = require_unitary(x)
+    n = x.shape[0]
+    blocks = _table_rows(x)  # sides first: their temporaries are freed before the table exists
+    values = np.empty((n * (n - 1) // 2,) * 2, dtype=np.complex128)
+    for rows, re, im in blocks:
+        values.real[rows], values.imag[rows] = re, im
     values.setflags(write=False)
     return PlaquetteTable(n=n, values=values)
 
@@ -355,8 +352,11 @@ def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
         raise DomainError(f"unsupported symmetry {which!r} for n={n}")
     if isinstance(phase, bool) or not isinstance(phase, numbers.Real):
         raise DomainError(f"symmetry phase must be a real number, got {phase!r}")
-    if not math.isfinite(phase):
-        raise DomainError(f"symmetry phase must be finite, got {phase}")
+    try:
+        if not math.isfinite(phase):
+            raise DomainError(f"symmetry phase must be finite, got {phase}")
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError("symmetry phase must be finite, got a huge integer") from None
     k = names.index(which) + 3
     chars = np.asfortranarray(np.triu(_ascending_chars(d)))  # gauge_fix may pad with -0.0
     rot = np.exp(1j * phase)

@@ -275,6 +275,7 @@ class Decomposition:
         n = self.ambient_n
         if not _is_int(n):
             raise DomainError(f"ambient_n must be an integer, got {n!r}")
+        object.__setattr__(self, "ambient_n", int(n))
         if n < 1:
             raise DomainError(f"ambient dimension must be >= 1, got {n}")
         factors = tuple(self.factors)

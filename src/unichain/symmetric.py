@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DomainError, StructureError, json_floats, json_int
+from .matrix_core import DomainError, StructureError, _is_int, json_floats, json_int
 from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
@@ -51,6 +51,9 @@ class SymmetricParams:
     half_angle: bool = True
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise DomainError(f"order must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2:
             raise DomainError(f"order must be >= 2, got {self.n}")
         thetas = tuple(float(t) for t in self.thetas)

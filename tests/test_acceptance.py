@@ -142,7 +142,8 @@ def test_criterion_04_rephasing_invariance():
         base = plaquette_table(x)
         left = phase_matrix(rng.uniform(-math.pi, math.pi, n))
         right = phase_matrix(rng.uniform(-math.pi, math.pi, n))
-        worst = max(worst, base.max_abs_diff(plaquette_table(left @ x @ right)))
+        rephased = plaquette_table(left @ x @ right)
+        worst = max(worst, max_abs_diff(base.values, rephased.values))
     report(4, "plaquette tables invariant under external rephasing, n=3,4,5, 100 trials", worst, 1e-12)
 
 
@@ -202,7 +203,7 @@ def test_criterion_06_n4_closed_forms():
         # equal moduli + equal omegas => equal tables
         other = apply_symmetry(d, "S1", rng.uniform(-math.pi, math.pi))
         other = apply_symmetry(other, "S2", rng.uniform(-math.pi, math.pi))
-        worst = max(worst, table.max_abs_diff(plaquette_table(compose(other))))
+        worst = max(worst, max_abs_diff(table.values, plaquette_table(compose(other)).values))
     report(
         6,
         "n=4 closed forms for (34,34), (34,24); tables depend only on moduli and omegas",

@@ -3,6 +3,7 @@ import math
 import resource
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Iterator
 
 import numpy as np
@@ -18,9 +19,11 @@ from unichain.invariants import (
     triangle_areas,
 )
 from unichain.matrix_core import (
+    haar_random,
     matrix_from_json_dict,
     matrix_to_json_dict,
     max_abs_diff,
+    phase_matrix,
 )
 from unichain.recursive_param import decomposition_from_json_dict
 
@@ -87,8 +90,6 @@ class TestVerify:
         assert report["max_residual"] == 0.0
 
     def test_haar_input_passes(self, tmp_path):
-        from unichain.matrix_core import haar_random
-
         path = write_matrix(tmp_path, "h.json", haar_random(4, 11))
         res = run_cli(["verify", "--in", path])
         assert res.returncode == 0
@@ -98,8 +99,6 @@ class TestVerify:
         assert {"unitarity", "round_trip", "panel_relations", "basis_solve"} <= names
 
     def test_perturbed_input_exits_2(self, tmp_path):
-        from unichain.matrix_core import haar_random
-
         x = haar_random(4, 11).copy()
         x[0, 0] += 1e-3
         path = write_matrix(tmp_path, "bad.json", x)
@@ -107,11 +106,52 @@ class TestVerify:
         assert res.returncode == 2
         assert "unitarity" in res.stderr
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_tol_above_default_writes_the_report(self, tmp_path, capsys, n):
+        # A defect of 4e-9 passes --tol 1e-8; the checks through the public invariant
+        # functions, which admit a defect of at most 1e-10, are left out, and the chain
+        # products miss their fixed 1e-11.
+        x = haar_random(n, 5) * (1 + 2e-9)
+        path = write_matrix(tmp_path, "loose.json", x)
+        assert main(["verify", "--in", path, "--tol", "1e-8"]) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert list(report) == ["n", "ok", "max_residual", "checks"] and report["ok"] is False
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["unitarity"]["ok"] and checks["rephasing_invariance"]["ok"]
+        assert "sextet_reduction" in checks
+        assert not {"triangle_areas", "panel_relations", "basis_solve"} & set(checks)
+        assert err.startswith("unichain verify: checks failed: reorder_product")
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 24])
+    def test_rephasing_residual_is_that_of_the_whole_tables(self, tmp_path, capsys, n):
+        # The residual, compared a block at a time (one block up to n = 13, 2 at n = 16 and
+        # 10 at n = 24), is bit for bit the largest |difference| of the two whole tables.
+        x = haar_random(n, 5)
+        path = write_matrix(tmp_path, "x.json", x)
+        assert main(["verify", "--in", path, "--seed", "9"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        residual = next(c["residual"] for c in checks if c["name"] == "rephasing_invariance")
+        rng = np.random.Generator(np.random.PCG64(9))
+        left, right = (phase_matrix(rng.uniform(-np.pi, np.pi, n)) for _ in range(2))
+        d = plaquette_table(x).values - plaquette_table(left @ x @ right).values
+        assert residual == float(np.max(np.hypot(d.real, d.imag)))
+
+    def test_n64_holds_no_table(self, tmp_path):
+        # Two whole 62 MB tables at n = 64 once; now one block of each at a time.
+        path = write_matrix(tmp_path, "x.json", haar_random(64, 5))
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--in", path, "--out", str(tmp_path / "report.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 20_000_000
+
 
 class TestPanelCommand:
     def test_report_fields(self, tmp_path):
-        from unichain.matrix_core import haar_random
-
         path = write_matrix(tmp_path, "p.json", haar_random(4, 21))
         res = run_cli(["panel", "--in", path])
         assert res.returncode == 0
@@ -137,8 +177,6 @@ class TestPanelCommand:
 
 class TestInvariantsCommand:
     def test_matrix_input(self, tmp_path):
-        from unichain.matrix_core import haar_random
-
         path = write_matrix(tmp_path, "m.json", haar_random(3, 5))
         res = run_cli(["invariants", "--in", path])
         assert res.returncode == 0
@@ -204,8 +242,6 @@ class TestZeroTextureCommand:
         assert len(report["triangle_areas"]) == 8
 
     def test_untextured_input_exits_1(self, tmp_path):
-        from unichain.matrix_core import haar_random
-
         path = write_matrix(tmp_path, "h.json", haar_random(4, 3))
         res = run_cli(["zerotexture", "--in", path])
         assert res.returncode == 1
@@ -257,6 +293,12 @@ class TestDiagnosticsAndDeterminism:
         res = run_cli(["decompose"], stdin="{not json")
         assert res.returncode == 1
         assert "line" in res.stderr
+
+    def test_deeply_nested_json_exits_1(self):
+        # json.loads raises RecursionError here, which is no ValueError.
+        res = run_cli(["compose"], stdin="[" * 200_000 + "]" * 200_000)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == "unichain compose: invalid input: JSON in '-' is nested too deeply\n"
 
     def test_wrong_entry_count_exits_1(self):
         res = run_cli(["decompose"], stdin=json.dumps({"n": 2, "entries": [[1.0, 0.0]]}))
@@ -414,7 +456,6 @@ class TestOversizedInput:
     def test_verify_refuses_order_above_cap_before_decomposing(self, tmp_path, capsys, monkeypatch):
         # The table cap is checked right after unitarity, before the chain checks.
         from unichain import recursive_param
-        from unichain.matrix_core import haar_random
 
         def decompose(*args, **kwargs):
             raise AssertionError("verify decomposed an order the table cap refuses")
@@ -606,8 +647,6 @@ class TestStreamedWriter:
 
     def test_invariants_equal_the_dict_payload(self, tmp_path):
         # The plaquette rows as one dict each, the way the document was first built.
-        from unichain.matrix_core import haar_random
-
         for n in (1, 2, 3, 6, 16):  # n = 1: no plaquettes; n = 16: 4 blocks of 34 row pairs
             x = haar_random(n, n)
             table = plaquette_table(x)
@@ -645,8 +684,6 @@ class TestStreamedWriter:
         assert err.count("\n") == 1
 
     def test_failure_mid_document_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        from unichain.matrix_core import haar_random
-
         out = tmp_path / "inv.json"
         rows = cli._plaquette_rows
 

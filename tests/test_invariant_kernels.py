@@ -146,23 +146,6 @@ class TestTableContract:
             with pytest.raises(DomainError):
                 t.get(rows, cols)
 
-    def test_max_abs_diff(self):
-        t4 = plaquette_table(haar_random(4, 3))
-        with pytest.raises(DomainError):
-            t4.max_abs_diff(plaquette_table(haar_random(3, 3)))
-        assert t4.max_abs_diff(t4) == 0.0
-        one = plaquette_table(np.eye(1, dtype=complex))
-        assert len(one) == 0 and one.max_abs_diff(one) == 0.0
-        other = plaquette_table(haar_random(4, 4))
-        expected = max(abs(t4.value(*k) - other.value(*k)) for k in t4.keys())
-        assert t4.max_abs_diff(other) == expected
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 16, 24])
-    def test_max_abs_diff_row_blocks_exact(self, n):
-        a, b = plaquette_table(haar_random(n, 5)), plaquette_table(haar_random(n, 6))
-        diff = a.values - b.values  # the whole-array form, as abs(complex) per entry
-        assert a.max_abs_diff(b) == float(np.max(np.hypot(diff.real, diff.imag)))
-
 
 # The kernels work in blocks of at most 8192 entries: the n = 16 table takes 2 blocks of row
 # pairs and the n = 24 table 10; the polygons of n = 24 take 2 blocks and those of n = 64 32.

@@ -115,7 +115,7 @@ class TestPlaquetteTable:
             for _ in range(5):
                 left = phase_matrix(rng.uniform(-math.pi, math.pi, n))
                 right = phase_matrix(rng.uniform(-math.pi, math.pi, n))
-                assert base.max_abs_diff(plaquette_table(left @ x @ right)) < 1e-12
+                assert max_abs_diff(base.values, plaquette_table(left @ x @ right).values) < 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
@@ -344,7 +344,7 @@ class TestEveryOrder:
         for i in range(1, n - 1):
             out = apply_symmetry(d, f"S{i}", rng.uniform(-math.pi, math.pi))
             assert max_wrapped_diff(base, omega_from_params(out).omegas) < 1e-14
-            assert table.max_abs_diff(plaquette_table(compose(out))) < 1e-15
+            assert max_abs_diff(table.values, plaquette_table(compose(out)).values) < 1e-15
 
     def test_closed_form_n3_from_omega(self):
         for seed in range(10):
@@ -405,21 +405,21 @@ class TestApplySymmetry:
         d = random_ascending_chain(rng, 4)
         base = plaquette_table(compose(d))
         out = apply_symmetry(d, "S1", 0.7)
-        assert base.max_abs_diff(plaquette_table(compose(out))) < 1e-12
+        assert max_abs_diff(base.values, plaquette_table(compose(out)).values) < 1e-12
 
     def test_s2_table_invariance_n4(self):
         rng = np.random.Generator(np.random.PCG64(8))
         d = random_ascending_chain(rng, 4)
         base = plaquette_table(compose(d))
         out = apply_symmetry(d, "S2", -2.1)
-        assert base.max_abs_diff(plaquette_table(compose(out))) < 1e-12
+        assert max_abs_diff(base.values, plaquette_table(compose(out)).values) < 1e-12
 
     def test_s3_table_invariance_n5(self):
         rng = np.random.Generator(np.random.PCG64(9))
         d = random_ascending_chain(rng, 5)
         base = plaquette_table(compose(d))
         out = apply_symmetry(d, "S3", 1.1)
-        assert base.max_abs_diff(plaquette_table(compose(out))) < 1e-12
+        assert max_abs_diff(base.values, plaquette_table(compose(out)).values) < 1e-12
 
     def test_all_symmetries_n5(self):
         rng = np.random.Generator(np.random.PCG64(10))
@@ -427,13 +427,14 @@ class TestApplySymmetry:
         base = plaquette_table(compose(d))
         for which, phase in (("S1", 0.3), ("S2", -0.8), ("S3", 2.5)):
             d = apply_symmetry(d, which, phase)
-        assert base.max_abs_diff(plaquette_table(compose(d))) < 1e-12
+        assert max_abs_diff(base.values, plaquette_table(compose(d)).values) < 1e-12
 
     def test_s1_defined_at_n3(self):
         d = random_ascending_chain(np.random.Generator(np.random.PCG64(11)), 3)
         out = apply_symmetry(d, "S1", 0.1)
         assert abs(out.chars[0, 1] - d.chars[0, 1] * np.exp(0.1j)) < 1e-15
-        assert plaquette_table(compose(d)).max_abs_diff(plaquette_table(compose(out))) < 1e-15
+        before, after = (plaquette_table(compose(c)).values for c in (d, out))
+        assert max_abs_diff(before, after) < 1e-15
 
     @pytest.mark.parametrize("which", ["S0", "S3", "S01", "s1", "S1.0", " S1", "S\u0661", 1, None])
     def test_names_outside_s1_to_s_n_minus_2_rejected(self, which):
@@ -449,7 +450,7 @@ class TestApplySymmetry:
 
     def test_non_finite_phase_rejected(self):
         d = random_ascending_chain(np.random.Generator(np.random.PCG64(12)), 4)
-        for phase in (math.inf, -math.inf, math.nan):
+        for phase in (math.inf, -math.inf, math.nan, 10**400, -(10**400)):
             with pytest.raises(DomainError, match="phase must be finite"):
                 apply_symmetry(d, "S1", phase)
 
@@ -700,7 +701,7 @@ class TestClosedForms:
             # same component moduli, same omegas, different raw phases
             for k in (3, 4):
                 assert max_abs_diff(np.abs(other.factor(k).char), np.abs(d.factor(k).char)) < 1e-15
-            assert base.max_abs_diff(plaquette_table(compose(other))) < 1e-12
+            assert max_abs_diff(base.values, plaquette_table(compose(other)).values) < 1e-12
 
 
 class TestTriangleAreas:

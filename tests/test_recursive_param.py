@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import pickle
 import weakref
@@ -782,6 +783,14 @@ class TestChainStorage:
         c = Decomposition(np.int64(3), d.factors, np.zeros(3), d.right_phases, DESCENDING)
         assert c.chars.tobytes() == d.chars.tobytes()
         assert np.array_equal(compose(c), compose(d))
+
+    def test_numpy_integer_ambient_n_stored_as_int(self):
+        d = decompose(haar_random(3, 1))
+        c = Decomposition(np.int64(3), d.factors, d.left_phases, d.right_phases, DESCENDING)
+        assert type(c.ambient_n) is int
+        doc = json.loads(json.dumps(decomposition_to_json_dict(c)))
+        assert doc == json.loads(json.dumps(decomposition_to_json_dict(d)))
+        assert np.array_equal(compose(decomposition_from_json_dict(doc)), compose(d))
 
     def test_chain_check_rules_and_messages(self):
         import unichain.recursive_param as rp

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -267,6 +268,11 @@ class TestSymmetricParamsValidation:
         with pytest.raises(error, match=message):
             SymmetricParams(4, (0.1, 0.2, 0.3), chars)
 
+    @pytest.mark.parametrize("n", [3.0, "3", True])
+    def test_rejects_non_integer_order(self, n):
+        with pytest.raises(DomainError, match="order must be an integer"):
+            SymmetricParams(n, (0.1, 0.2), ([1.0], [0.6, 0.8]))
+
     def test_vectors_checked_in_one_pass_are_read_only_copies(self):
         rng = np.random.Generator(np.random.PCG64(4))
         chars = [random_real_unit(rng, k - 1) for k in range(2, 9)]
@@ -294,6 +300,13 @@ class TestSymmetricJson:
         back = symmetric_params_from_json_dict(doc)
         assert back.n == p.n and back.half_angle == p.half_angle
         assert max_abs_diff(compose_symmetric(back), compose_symmetric(p)) == 0.0
+
+    def test_numpy_integer_order_round_trips(self):
+        p = SymmetricParams(np.int64(3), (0.1, 0.2), ([1.0], [0.6, 0.8]))
+        assert type(p.n) is int
+        doc = json.loads(json.dumps(symmetric_params_to_json_dict(p)))
+        back = symmetric_params_from_json_dict(doc)
+        assert back.n == 3 and back.thetas == p.thetas
 
     def test_rejects_missing_field(self):
         with pytest.raises(StructureError):

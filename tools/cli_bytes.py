@@ -22,9 +22,9 @@ into descending and a mixed order, ``panel``, ``verify`` and
 ``zerotexture``, and ``invariants`` up to n = 16 (at n = 64 it writes
 4 064 256 plaquettes) on the matrix and on the canonical chain; two-zero textures; symmetric parameter sets through ``symmetric``
 and ``compose``; and documents that must exit 1 (non-numbers, non-lists,
-malformed JSON, bad flags) or 2 (``verify`` at a tolerance below
-rounding).  OUTDIR must be empty or new.  The 519 invocations run two at a
-time and take under two minutes on two cores.
+malformed or deeply nested JSON, bad flags) or 2 (``verify`` at a tolerance
+below rounding).  OUTDIR must be empty or new.  The 520 invocations run two at
+a time and take under two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -166,6 +166,7 @@ def stages() -> tuple:
     non_unitary = {"n": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]}
     first += [
         ("invalid-malformed-json", ["decompose"], '{"n": 2, "entries": [[1, 0]'),
+        ("invalid-nested-json", ["compose"], "[" * 200_000 + "]" * 200_000),
         ("invalid-missing-input", ["decompose", "--in", "missing.json"], None),
         ("invalid-unwritable-out", ["gen", "--n", "2", "--seed", "1", "--out", "missing/x"], None),
         ("invalid-bad-flag", ["gen", "--n", "2"], None),
