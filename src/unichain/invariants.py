@@ -30,6 +30,7 @@ import numpy as np
 
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
+    DEFAULT_UNITARITY_TOL,
     DomainError,
     PreconditionError,
     _is_int,
@@ -40,7 +41,7 @@ from .matrix_core import (
 from .recursive_param import (
     ASCENDING,
     Decomposition,
-    decompose,
+    _peel,
     gauge_fix,
     infer_order,
     reorder_chain,
@@ -65,7 +66,7 @@ def count_independent_phases(n: int) -> int:
     """Number of independent invariant phases of an n-by-n unitary."""
     if not _is_int(n) or n < 1:
         raise DomainError(f"matrix order must be an integer >= 1, got {n!r}")
-    return (n - 1) * (n - 2) // 2
+    return (int(n) - 1) * (int(n) - 2) // 2
 
 
 def _check_indices(idx, n: int, what: str, count: int, distinct: bool = True) -> tuple:
@@ -212,12 +213,13 @@ class PlaquetteTable:
 
 @functools.lru_cache(maxsize=8)
 def _table_blocks(n: int) -> tuple:
-    """Row pairs per block of the order-n table kernel, and the flat indices of a block's
-    gathers: entry (r, c) of a block takes sides j_c and k_c of the block's row pair r."""
+    """Row pairs per block of the order-n table kernel, the run lengths of its first sides and
+    the flat indices of its second: entry (r, c) of a block takes sides j_c and k_c of the
+    block's row pair r, and in ``combinations`` order j_c is side j for n - 1 - j entries."""
     j, k = _pair_indices(n)
     step = max(1, _BLOCK_ENTRIES // max(j.size, 1))
     offsets = np.arange(min(step, j.size))[:, None] * n
-    return (step, *_read_only(offsets + j, offsets + k))
+    return (step, *_read_only(np.arange(n - 1, -1, -1), offsets + k))
 
 
 def _table_rows(x: np.ndarray) -> Iterator:
@@ -231,16 +233,17 @@ def _table_rows(x: np.ndarray) -> Iterator:
     # Row and column pairs share ``combinations`` order; one m-by-n side matrix.
     j, k = _pair_indices(n)
     sr, si = _sides(x.real, x.imag, j, k)
-    step, take_j, take_k = _table_blocks(n)
+    step, runs, take_k = _table_blocks(n)
     # Blocks of whole row pairs, at most _BLOCK_ENTRIES entries: small tables take one block
     # and large ones keep every temporary cache-sized.  Flat ``take`` gathers cost the same
-    # per entry however few row pairs a block holds.
+    # per entry however few row pairs a block holds; the first sides are runs of repeats.
     def blocks():
         for start in range(0, m, step):
             rows = slice(start, start + step)
             br, bi = sr[rows], si[rows]
-            tj, tk = take_j[: len(br)], take_k[: len(br)]
-            ar, ai, cr, ci = br.take(tj), bi.take(tj), br.take(tk), bi.take(tk)
+            tk = take_k[: len(br)]
+            ar, ai = br.repeat(runs, axis=1), bi.repeat(runs, axis=1)
+            cr, ci = br.take(tk), bi.take(tk)
             # _mul_conj(ar, ai, cr, ci) in place on the fresh gathers, product for product.
             re = ar * cr
             cr *= ai
@@ -255,7 +258,11 @@ def _table_rows(x: np.ndarray) -> Iterator:
 
 def plaquette_table(x) -> PlaquetteTable:
     """All canonical plaquettes of a unitary of order at most 64 (``MAX_TABLE_ENTRIES``)."""
-    x = require_unitary(x)
+    return _plaquette_table(require_unitary(x))
+
+
+def _plaquette_table(x: np.ndarray) -> PlaquetteTable:
+    """:func:`plaquette_table` of the checked unitary *x*."""
     n = x.shape[0]
     blocks = _table_rows(x)  # sides first: their temporaries are freed before the table exists
     values = np.empty((n * (n - 1) // 2,) * 2, dtype=np.complex128)
@@ -285,11 +292,12 @@ def reduce_sextet(x, rows, cols) -> tuple:
             f"pivot element V[{b},{j}] has modulus {pivot:.3e} <= {DEFAULT_EQUALITY_TOL}; "
             "reduction undefined"
         )
+    v = x.item  # Python complex products round as numpy's scalar ones
     lhs = (
-        x[a - 1, j - 1]
-        * x[b - 1, k - 1]
-        * x[c - 1, l - 1]
-        * np.conj(x[a - 1, k - 1] * x[b - 1, l - 1] * x[c - 1, j - 1])
+        v(a - 1, j - 1)
+        * v(b - 1, k - 1)
+        * v(c - 1, l - 1)
+        * (v(a - 1, k - 1) * v(b - 1, l - 1) * v(c - 1, j - 1)).conjugate()
     ).imag
     p1, p2 = (
         _orient(_plaquette_value(x, sorted(r), sorted(s)), r, s)
@@ -393,9 +401,14 @@ class PanelLattice:
 
 def panel_lattice(x) -> PanelLattice:
     x = require_unitary(x)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise DomainError("panel lattice needs n >= 2")
+    return _panel_lattice(x)
+
+
+def _panel_lattice(x: np.ndarray) -> PanelLattice:
+    """:func:`panel_lattice` of the checked unitary *x*, n >= 2."""
+    n = x.shape[0]
     # Sides of adjacent rows (a, a+1); panel (a, b) pairs sides b and b+1.
     sr, si = _sides(x.real, x.imag, slice(None, -1), slice(1, None))
     panels = np.empty((n - 1, n - 1), dtype=np.complex128)
@@ -433,10 +446,10 @@ def _relation_system(x) -> tuple:
     directly computed values are J_direct.  Every matrix element appearing
     in a denominator must be nonzero beyond ``RELATION_ZERO_TOL``.
     """
-    x = require_square(x)
+    x = require_unitary(x)
     if x.shape[0] != 4:
         raise DomainError(f"the six panel relations are specific to n=4, got n={x.shape[0]}")
-    panels = panel_lattice(x).panels.tolist()
+    panels = _panel_lattice(x).panels.tolist()
     panel = {(p + 1, q + 1): v for p, row in enumerate(panels) for q, v in enumerate(row)}
     a, b = np.zeros((6, 6)), np.zeros(6)
     for i, (unknown, coupled, basis, one_couples) in enumerate(_RELATIONS):
@@ -547,12 +560,24 @@ def closed_forms_n4(d: Decomposition) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _polygons(n: int) -> tuple:
-    """Column pairs of [V^T | V] holding each order-n polygon's side factors, row polygons
-    first, and the polygons' ("rows"|"cols", i, j) labels."""
+    """The order-n polygons, row polygons first, in blocks, and their ("rows"|"cols", i, j)
+    labels.  Polygon p takes its side factors from columns first_p and second_p of [V^T | V];
+    a block is (its polygons, the slice of its first columns, their run lengths, its second
+    columns), since the first columns ascend in runs of repeats."""
     a, b = _pair_indices(n)
     pairs = list(zip((a + 1).tolist(), (b + 1).tolist()))
     labels = tuple((kind, i, j) for kind in ("rows", "cols") for i, j in pairs)
-    return (*_read_only(np.concatenate((a, a + n)), np.concatenate((b, b + n))), labels)
+    first, second = np.concatenate((a, a + n)), np.concatenate((b, b + n))
+    # Polygons per block: an even count, as 2m is, so no block holds one polygon alone (the
+    # reduction of a single column would sum pairwise).
+    width = 2 * max(1, _BLOCK_ENTRIES // (2 * n))
+    blocks = []
+    for start in range(0, first.size, width):
+        cols = slice(start, start + width)
+        lo = int(first[start])
+        runs, seconds = _read_only(np.bincount(first[cols] - lo), second[cols])
+        blocks.append((cols, slice(lo, lo + runs.size), runs, seconds))
+    return tuple(blocks), labels
 
 
 def triangle_areas(x) -> list:
@@ -563,25 +588,23 @@ def triangle_areas(x) -> list:
     n = 3 every polygon is a triangle of area |J|/2.  Returns a list of
     (("rows"|"cols", i, j), area) with 1-based indices.
     """
-    x = require_unitary(x)
+    return _triangle_areas(require_unitary(x))
+
+
+def _triangle_areas(x: np.ndarray) -> list:
+    """:func:`triangle_areas` of the checked unitary *x*."""
     n = x.shape[0]
-    first, second, labels = _polygons(n)
+    blocks, labels = _polygons(n)
     # Rows are columns of the transpose, so one array covers both kinds: column p of the
     # C-ordered sides holds polygon p's sides in order.  Cumulative sums down the columns
     # are the vertices v_1 .. v_n (v_0 = 0 adds a zero term), and add.reduce over the
     # leading axis adds the shoelace terms Im(conj(v_i) v_i+1) row after row, in order.
     re = np.concatenate((x.real.T, x.real), axis=1)
     im = np.concatenate((x.imag.T, x.imag), axis=1)
-    areas = np.empty(first.size)
-    # Polygons per block: an even count, as 2m is, so no block holds one polygon alone (the
-    # reduction of a single column would sum pairwise).
-    width = 2 * max(1, _BLOCK_ENTRIES // (2 * n))
-    for start in range(0, first.size, width):
-        cols = slice(start, start + width)
-        a, b = first[cols], second[cols]
-        vr, vi = _mul_conj(
-            re.take(a, axis=1), im.take(a, axis=1), re.take(b, axis=1), im.take(b, axis=1)
-        )
+    areas = np.empty(len(labels))
+    for cols, a, runs, b in blocks:
+        firsts = re[:, a].repeat(runs, axis=1), im[:, a].repeat(runs, axis=1)
+        vr, vi = _mul_conj(*firsts, re.take(b, axis=1), im.take(b, axis=1))
         np.cumsum(vr, axis=0, out=vr)
         np.cumsum(vi, axis=0, out=vi)
         terms = vr[:-1] * vi[1:]
@@ -679,7 +702,7 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
             f"all entries off the texture must exceed {tol}; smallest is {nonzero_min:.3e}"
         )
 
-    table = plaquette_table(std)
+    table = _plaquette_table(std)  # std permutes the checked x: not checked again
     j_val = table.im((1, 2), (1, 2))
     jp_val = table.im((3, 4), (3, 4))
 
@@ -691,13 +714,13 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
     nearest = np.argmin(np.abs(ims[:, None] - targets), axis=1).tolist()
     sign_pattern = {key: labels[i] for key, i in zip(table.keys(), nearest)}
 
-    areas = dict(triangle_areas(std))
+    areas = dict(_triangle_areas(std))
     tri = tuple((label, areas[label]) for label in _TEXTURE_TRIANGLES)
 
     # Closed forms: relabel rows/cols 1 <-> 3 so the zeros move to (3,4)/(4,3),
     # then peel into an ascending canonical chain.
     calc = std[np.ix_((2, 1, 0, 3), (2, 1, 0, 3))]
-    chain = gauge_fix(reorder_chain(decompose(calc), range(2, 5)))
+    chain = gauge_fix(reorder_chain(_peel(calc, DEFAULT_UNITARITY_TOL), range(2, 5)))
     t2, t3, t4 = chain.thetas.tolist()
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)

@@ -386,7 +386,11 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
     phases, exactly n^2 real parameters, and compose(decompose(x)) = x
     within 10 * tol.
     """
-    x = require_unitary(x, tol)
+    return _peel(require_unitary(x, tol), tol)
+
+
+def _peel(x: np.ndarray, tol: float) -> Decomposition:
+    """:func:`decompose` of the checked unitary *x*."""
     n = x.shape[0]
     w = x.copy()  # M is its leading k-by-k block
     thetas = np.zeros(n - 1)

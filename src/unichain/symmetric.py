@@ -29,9 +29,11 @@ from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 def sym_param_count(n: int) -> int:
     """Free real parameters of the symmetric construction: n(n-1)/2."""
+    if not _is_int(n):
+        raise DomainError(f"order must be an integer, got {n!r}")
     if n < 2:
         raise DomainError(f"order must be >= 2, got {n}")
-    return n * (n - 1) // 2
+    return int(n) * (int(n) - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -167,6 +167,9 @@ def test_blocked_table_equals_scalar_plaquettes(n):
 
 @pytest.mark.parametrize("n", [24, 64])
 def test_blocked_areas_equal_scalar_shoelace(n):
+    # Some block boundary falls inside a run of polygons that share their first column.
+    blocks, _ = invariants._polygons(n)
+    assert any(a.stop - 1 == b.start for (_, a, _, _), (_, b, _, _) in zip(blocks, blocks[1:]))
     x = haar_random(n, 12)
     expected = [scalar_shoelace(scalar_sides(x[a - 1], x[b - 1])) for a, b in pairs(n)] + [
         scalar_shoelace(scalar_sides(x[:, j - 1], x[:, k - 1])) for j, k in pairs(n)
@@ -227,6 +230,16 @@ class TestIndexArguments:
         assert table.value(rows, cols) == table.value((4, 2), (1, 5))
         triple = (np.int64(2), np.int64(1), np.int64(4))
         assert reduce_sextet(self.X, triple, triple) == reduce_sextet(self.X, (2, 1, 4), (2, 1, 4))
+
+
+@pytest.mark.parametrize("n", [3, 5, 16])
+def test_sextet_lhs_is_the_numpy_scalar_product(n):
+    x = haar_random(n, 14)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        (a, b, c), (j, k, l) = (rng.choice(n, 3, replace=False) for _ in range(2))
+        lhs = (x[a, j] * x[b, k] * x[c, l] * np.conj(x[a, k] * x[b, l] * x[c, j])).imag
+        assert reduce_sextet(x, (a + 1, b + 1, c + 1), (j + 1, k + 1, l + 1))[0] == lhs
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 24])

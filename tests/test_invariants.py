@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import pinned_chain_n4, random_ascending_chain, random_char, texture_matrix
+from unichain import matrix_core
 from unichain.matrix_core import (
     DomainError,
     PreconditionError,
@@ -833,6 +834,35 @@ class TestZeroTexture:
             zero_texture_analysis(haar_random(3, 32))
 
 
+class TestValidateOnce:
+    """A public call checks its matrix once; the work nested in it runs on the checked array."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            zero_texture_analysis,
+            panel_relation_residuals,
+            basis_solve_n4,
+            plaquette_table,
+            triangle_areas,
+            panel_lattice,
+            decompose,
+        ],
+    )
+    def test_one_unitarity_check_per_call(self, call, monkeypatch):
+        texture = call is zero_texture_analysis  # the relations divide by every entry
+        x = texture_matrix(np.random.default_rng(3)) if texture else haar_random(4, 3)
+        defect, checked = matrix_core._defect, []
+
+        def counting(m):
+            checked.append(m)
+            return defect(m)
+
+        monkeypatch.setattr(matrix_core, "_defect", counting)
+        call(x)
+        assert len(checked) == 1
+
+
 class TestCountIndependentPhases:
     def test_reference_values(self):
         assert count_independent_phases(3) == 1
@@ -854,3 +884,4 @@ class TestCountIndependentPhases:
 
     def test_numpy_integers_accepted(self):
         assert count_independent_phases(np.int64(4)) == 3
+        assert type(count_independent_phases(np.int64(5))) is int

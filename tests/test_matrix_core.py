@@ -56,6 +56,18 @@ class TestIsUnitary:
         with pytest.raises(DomainError, match="not unitary within 1e-12"):
             require_unitary(np.diag([1.0, 1.0000001]), 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])
+    def test_defect_is_the_textbook_formula_bit_for_bit(self, n):
+        u = haar_random(n, n)
+        noise = random_complex(np.random.default_rng(n), (n, n))
+        perm = np.eye(n, dtype=complex)[np.random.default_rng(n).permutation(n)]
+        for m in (u, u.T, (1 + 1e-9) * u, u + 1e-7 * noise, perm):
+            h, eye = m.conj().T, np.eye(n)
+            expected = max(
+                float(np.max(np.abs(m @ h - eye))), float(np.max(np.abs(h @ m - eye)))
+            )
+            assert unitarity_defect(m) == expected
+
 
 class TestPhaseMatrix:
     def test_zero_phases(self):

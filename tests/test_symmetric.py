@@ -239,6 +239,14 @@ class TestSymParamCount:
         with pytest.raises(DomainError):
             sym_param_count(1)
 
+    @pytest.mark.parametrize("n", [3.0, "3", True])
+    def test_rejects_non_integer_order(self, n):
+        with pytest.raises(DomainError, match="order must be an integer"):
+            sym_param_count(n)
+
+    def test_numpy_integer_order_gives_int(self):
+        assert type(sym_param_count(np.int64(3))) is int and sym_param_count(np.int64(3)) == 3
+
 
 class TestSymmetricParamsValidation:
     def test_rejects_wrong_theta_count(self):
