@@ -12,7 +12,8 @@ tolerance).  Output is deterministic: keys are emitted in a fixed order
 and numbers in shortest round-trip decimal form, so identical inputs and
 flags produce byte-identical bytes.  JSON documents are streamed a block
 at a time, after all computation and validation are done; ``invariants``
-fills one item template per plaquette.  An ``--out`` that cannot be
+fills one item template per plaquette, and ``invariants`` and
+``zerotexture`` one per triangle area.  An ``--out`` that cannot be
 written, running out of memory and stdout closed early also exit 1, and
 an ``--out`` file left unfinished is removed.
 """
@@ -194,10 +195,18 @@ def _plaquette_rows(table: inv.PlaquetteTable):
         yield list(map(item.__mod__, zip(rows, pair_texts * len(values), re, im)))
 
 
-def _areas_payload(areas: list) -> list:
-    return [
-        {"pair": [kind, i, j], "area": float(area)} for (kind, i, j), area in areas
-    ]
+def _area_items(areas: list):
+    """The ((kind, i, j), area) pairs of :func:`inv.triangle_areas`, rendered as the items of
+    a document's ``"triangle_areas"`` list (two levels deep), a block at a time."""
+    item = (
+        '{\n      "pair": [\n        %s,\n        %d,\n        %d\n      ],'
+        '\n      "area": %s\n    }'
+    )
+    for start in range(0, len(areas), _BLOCK_ITEMS):
+        labels, values = zip(*areas[start : start + _BLOCK_ITEMS])
+        quoted = {kind: json.dumps(kind) for kind, _, _ in labels}
+        texts = _texts([float(v) for v in values], 3)
+        yield [item % (quoted[kind], i, j, t) for (kind, i, j), t in zip(labels, texts)]
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -262,7 +271,7 @@ def _cmd_invariants(args) -> int:
     payload = {
         "n": table.n,
         "plaquettes": _plaquette_rows(table),
-        "triangle_areas": _areas_payload(inv.triangle_areas(x)),
+        "triangle_areas": _area_items(inv.triangle_areas(x)),
         **omegas,
     }
     _emit_json(args.out, payload)
@@ -307,7 +316,7 @@ def _cmd_zerotexture(args) -> int:
             {"rows": list(rows), "cols": list(cols), "label": label}
             for (rows, cols), label in rep.sign_pattern.items()
         ],
-        "triangle_areas": _areas_payload(rep.triangle_areas),
+        "triangle_areas": _area_items(rep.triangle_areas),
     }
     _emit_json(args.out, payload)
     return _EXIT_OK

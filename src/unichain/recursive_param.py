@@ -62,6 +62,12 @@ ASCENDING = "ascending"
 DESCENDING = "descending"
 CUSTOM = "custom"
 
+#: Entries of each per-order cache of the chain layer: the padding masks, two orders per
+#: chain order (n for decompose's residual, n - 1 for the vector arrays), and the reorder
+#: plans, one per pair of source and target order sequences, each holding at most
+#: (n - 1)^2 column indices.  A cycle over eight chain orders keeps every mask resident.
+_SHAPE_ENTRIES = 16
+
 
 def _check_units(cols: np.ndarray) -> None:
     """The characteristic-vector rule: every column of *cols* is finite with unit norm."""
@@ -87,7 +93,7 @@ def _as_char(a, k: int | None = None, dtype=np.complex128) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=_SHAPE_ENTRIES)
 def _padding(m: int) -> np.ndarray:
     """The padding of an m-by-m vector array: the entries below the diagonal."""
     mask = np.tri(m, k=-1, dtype=bool)
@@ -192,17 +198,18 @@ def apply_factor(theta: float, a, m) -> np.ndarray:
     out = np.array(m, dtype=np.complex128)
     if out.ndim not in (1, 2) or out.shape[0] < k:
         raise ShapeError(f"expected a vector or matrix with >= {k} rows, got shape {out.shape}")
-    _apply_block(theta, a, out.reshape(out.shape[0], -1))
+    _apply_block(theta, a, a.conj(), out.reshape(out.shape[0], -1))
     return out
 
 
-def _apply_block(theta: float, a: np.ndarray, rows: np.ndarray) -> None:
+def _apply_block(theta: float, a: np.ndarray, a_conj: np.ndarray, rows: np.ndarray) -> None:
     """:func:`apply_factor` in place on the first len(a) + 1 rows of the 2-d
-    complex array *rows*, for an already validated characteristic vector."""
+    complex array *rows*, for an already validated characteristic vector *a*
+    and its conjugate *a_conj*, which a caller may form once for a whole chain."""
     k = a.size + 1
     c, s = math.cos(theta), math.sin(theta)
     top, last = rows[: k - 1], rows[k - 1]
-    p = a.conj() @ top
+    p = a_conj @ top
     q = (c - 1.0) * p
     q += s * last
     top += a[:, None] * q
@@ -344,7 +351,9 @@ class Decomposition:
         return factors
 
     def factor(self, k: int) -> Factor:
-        """The (unique) factor of order *k*."""
+        """The (unique) factor of order *k*, an integer by the package's rule."""
+        if not _is_int(k):
+            raise DomainError(f"order must be an integer, got {k!r}")
         orders = self.orders.tolist()
         if k not in orders:
             raise StructureError(f"no factor of order {k}")
@@ -362,9 +371,10 @@ def compose(d: Decomposition) -> np.ndarray:
     The factors are applied right to left onto Phi(right), O(n^3) in all.
     """
     v = np.diag(np.exp(1j * d.right_phases))
-    thetas = d.thetas.tolist()
+    thetas, chars = d.thetas.tolist(), d.chars
+    conj = chars.conj()
     for k in reversed(d.orders.tolist()):
-        _apply_block(thetas[k - 2], d.chars[: k - 1, k - 2], v)
+        _apply_block(thetas[k - 2], chars[: k - 1, k - 2], conj[: k - 1, k - 2], v)
     return np.exp(1j * d.left_phases)[:, None] * v
 
 
@@ -410,7 +420,7 @@ def _peel(x: np.ndarray, tol: float) -> Decomposition:
         else:
             u[k - 2] = 1.0
         thetas[k - 2] = theta
-        _apply_block(-theta, u, m)
+        _apply_block(-theta, u, u.conj(), m)
         betas[k - 1] = beta
     betas[0] = float(np.angle(w[0, 0]))
     # Step k leaves its residual in what it strips: row k left of the
@@ -444,9 +454,58 @@ def reorder_swap(left: Factor, right: Factor) -> tuple:
         raise DomainError(f"cannot swap two factors of equal order {r}")
     lower, upper, theta = (left, right, left.theta) if r < s else (right, left, -right.theta)
     v = upper.char[:, None].copy()
-    _apply_block(theta, lower.char, v)
+    _apply_block(theta, lower.char, lower.char.conj(), v)
     rotated = upper.with_char(v[:, 0] / np.linalg.norm(v))
     return (rotated, left) if r < s else (right, rotated)
+
+
+def _columns(work: np.ndarray) -> tuple:
+    """Entry l - 2 for each order l: the columns flagged in row l - 2 of *work*, as None
+    when there are none, a slice when they are contiguous, else a read-only index array."""
+    if not work.size:  # n = 1: argmax refuses an empty row
+        return ()
+    lo, hi = work.argmax(axis=1).tolist(), (len(work) - work[:, ::-1].argmax(axis=1)).tolist()
+    cols = []
+    for row, c, a, b in zip(work, work.sum(axis=1).tolist(), lo, hi):
+        if not c:
+            cols.append(None)
+        elif b - a == c:
+            cols.append(slice(a, b))
+        else:
+            # On immutable bytes: no caller can make a cached index array writeable.
+            cols.append(np.frombuffer(row.nonzero()[0].tobytes(), dtype=np.intp))
+    return tuple(cols)
+
+
+@functools.lru_cache(maxsize=_SHAPE_ENTRIES)
+def _sweep_plan(source: tuple, target: tuple) -> tuple:
+    """:func:`reorder_chain`'s plan from the *source* to the *target* order sequence,
+    tuples of Python ints: the source sweep's (l, columns) steps, right to left; the
+    target sweep's (k, moved, columns) steps, left to right, columns None when order k
+    reaches no moved column; and the target's order tag.  A moved column is the vector of
+    an order that some lower order changes sides of; only moved columns change."""
+    ranks = np.argsort([source, target], axis=1)  # of order k at k - 2 (source, target)
+    # Entry [l - 2, k - 2]: k is above l and right of it (source, target).
+    s_up, t_up = _padding(len(source)).T & (ranks[:, :, None] < ranks[:, None, :])
+    moved = (s_up != t_up).any(axis=0)
+    s_cols, t_cols = _columns(s_up & moved), _columns(t_up & moved)
+    moved = moved.tolist()
+    return (
+        tuple((l, s_cols[l - 2]) for l in reversed(source) if s_cols[l - 2] is not None),
+        tuple(
+            (k, moved[k - 2], t_cols[k - 2])
+            for k in target if moved[k - 2] or t_cols[k - 2] is not None
+        ),
+        infer_order(target),
+    )
+
+
+def _sweep(chars: np.ndarray, theta: float, a: np.ndarray, a_conj: np.ndarray, l: int, cols):
+    """Apply the order-l block of *a* to the columns *cols* of *chars* in place."""
+    sub = chars[:l, cols]  # a view when cols is a slice, else a copy to write back
+    _apply_block(theta, a, a_conj, sub)
+    if not isinstance(cols, slice):
+        chars[:l, cols] = sub
 
 
 def reorder_chain(d: Decomposition, target) -> Decomposition:
@@ -460,50 +519,34 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     vector columns apply them (each factor's block right to left over the
     source; its inverse, with its final vector, left to right over the
     target): at most 2(n - 2) kernel calls, n - 2 for a monotone target.
+    Which columns each factor reaches depends only on the two order
+    sequences, so the plan of the sweeps is built once per pair of them and
+    kept in a bounded cache of immutable entries.  The source sweep
+    conjugates the source vectors once for the whole chain; the target
+    sweep conjugates each vector when it is final.
     The result holds no link to *d*: its factors are views of its own arrays.
     """
     target, n = list(target), d.ambient_n
     if not all(map(_is_int, target)) or sorted(target) != list(range(2, n + 1)):
         raise DomainError(f"target {target} is not a permutation of 2..{n}")
-    target = [int(k) for k in target]
-    ranks = np.argsort([d.orders, target], axis=1)  # of order k at k - 2 (source, target)
-    # Entry [l - 2, k - 2]: k is above l and right of it (source, target).
-    s_up, t_up = _padding(n - 1).T & (ranks[:, :, None] < ranks[:, None, :])
-    moved = (s_up != t_up).any(axis=0)  # some lower order changed sides of k
+    target = tuple(map(int, target))
+    sources, targets, order = _sweep_plan(tuple(d.orders.tolist()), target)
     src, thetas = d.chars, d.thetas.tolist()
     # Column k - 2 holds the order-k vector; a block of order l touches only
     # the first l rows, so the padding of every higher order stays zero.
     chars = np.array(src, order="F")
-
-    def plan(work):  # order l -> the moved columns right of l that its block reaches
-        if not work.size:  # n = 1: argmax refuses an empty row
-            return {}
-        lo, hi = work.argmax(axis=1).tolist(), (len(work) - work[:, ::-1].argmax(axis=1)).tolist()
-        return {  # a slice when the columns are contiguous
-            l + 2: slice(lo[l], hi[l]) if hi[l] - lo[l] == c else work[l].nonzero()[0]
-            for l, c in enumerate(work.sum(axis=1).tolist()) if c
-        }
-
-    def sweep(theta, a, l, cols):
-        sub = chars[:l, cols]  # a view when cols is a slice, else a copy to write back
-        _apply_block(theta, a, sub)
-        if not isinstance(cols, slice):
-            chars[:l, cols] = sub
-
-    todo = plan(s_up & moved)
-    for l in reversed(d.orders.tolist()):
-        if l in todo:
-            sweep(thetas[l - 2], src[: l - 1, l - 2], l, todo[l])
-    todo, moved = plan(t_up & moved), moved.tolist()
-    for k in target:
+    if sources:
+        conj = src.conj()
+        for l, cols in sources:
+            _sweep(chars, thetas[l - 2], src[: l - 1, l - 2], conj[: l - 1, l - 2], l, cols)
+    for k, moved, cols in targets:
         a = src[: k - 1, k - 2]
-        if moved[k - 2]:  # final: every lower-order target factor left of k is applied
+        if moved:  # final: every lower-order target factor left of k is applied
             a = chars[: k - 1, k - 2]
             re, im = a.real, a.imag
             a /= math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula
-        if k in todo:
-            sweep(-thetas[k - 2], a, k, todo[k])
-    order = infer_order(target)
+        if cols is not None:
+            _sweep(chars, -thetas[k - 2], a, a.conj(), k, cols)
     return Decomposition._of(n, target, d.thetas, chars, d.left_phases, d.right_phases, order)
 
 

@@ -117,15 +117,17 @@ def compose_symmetric(p: SymmetricParams) -> np.ndarray:
     Inner factors use theta_k / 2 under the half-angle convention (they
     appear twice); the order-n factor always uses theta_n.  The palindrome
     reads the same both ways, so left-multiplying its factors in sequence
-    onto the identity gives the product.
+    onto the identity gives the product.  Each vector and its conjugate are
+    formed once, for both places of their order.
     """
     n = p.n
     scale = 0.5 if p.half_angle else 1.0
     chars = [1j * xs for xs in p.real_chars]
+    conjs = [a.conj() for a in chars]
     v = np.eye(n, dtype=np.complex128)
     for k in (*range(2, n + 1), *range(n - 1, 1, -1)):
         theta = p.theta(k) if k == n else scale * p.theta(k)
-        _apply_block(theta, chars[k - 2], v)
+        _apply_block(theta, chars[k - 2], conjs[k - 2], v)
     return v
 
 

@@ -618,6 +618,85 @@ class TestReorderChain:
         assert infer_order([3, 2, 4]) == CUSTOM
 
 
+class TestSweepPlanCache:
+    """reorder_chain plans its sweeps once per pair of source and target order sequences."""
+
+    @staticmethod
+    def round_trips():
+        for n in (4, 8, 16, 32, 64):
+            d = decompose(haar_random(n, n))
+            compose(gauge_fix(reorder_chain(d, range(2, n + 1))))
+
+    def test_second_pass_over_five_orders_adds_no_misses(self):
+        import unichain.recursive_param as rp
+
+        def misses():
+            return rp._padding.cache_info().misses, rp._sweep_plan.cache_info().misses
+
+        self.round_trips()
+        before = misses()
+        self.round_trips()
+        assert misses() == before
+
+    def test_cached_plans_are_read_only(self):
+        import unichain.recursive_param as rp
+
+        n, target = 8, [5, 2, 8, 3, 7, 4, 6]
+        d = decompose(haar_random(n, 3))
+        want = reorder_chain(d, target).chars.tobytes()
+        plan = rp._sweep_plan(tuple(d.orders.tolist()), tuple(target))
+        sources, targets, order = plan
+        assert order == CUSTOM and isinstance(sources, tuple) and isinstance(targets, tuple)
+        steps = [*sources, *targets]
+        assert all(isinstance(step, tuple) for step in steps)
+        index = [step[-1] for step in steps if isinstance(step[-1], np.ndarray)]
+        assert index  # this target reaches scattered columns
+        for cols in index:
+            assert not cols.flags.writeable
+            with pytest.raises(ValueError):
+                cols[0] = 0
+            with pytest.raises(ValueError):
+                cols.setflags(write=True)  # a cached array owns no memory a caller may unlock
+        assert rp._sweep_plan(tuple(d.orders.tolist()), tuple(target)) is plan
+        assert reorder_chain(d, target).chars.tobytes() == want
+
+    def test_many_targets_stay_within_the_bound_and_match_the_reference(self):
+        import unichain.recursive_param as rp
+        from test_chain_bits import ref_reorder
+
+        n = 8
+        rng = np.random.Generator(np.random.PCG64(71))
+        d = decompose(haar_random(n, 71))
+        targets = set()
+        while len(targets) < 100:
+            targets.add(tuple(int(k) for k in rng.permutation(np.arange(2, n + 1))))
+        maxsize = rp._sweep_plan.cache_info().maxsize
+        for target in sorted(targets):
+            out = reorder_chain(d, target)
+            assert out.chars.tobytes() == ref_reorder(d, list(target)).tobytes()
+            assert rp._sweep_plan.cache_info().currsize <= maxsize
+
+    def test_target_spellings_share_one_entry(self):
+        import unichain.recursive_param as rp
+
+        n = 7
+        d = decompose(haar_random(n, 7))
+        out = reorder_chain(d, range(2, n + 1))
+        info = rp._sweep_plan.cache_info()
+        spellings = (
+            list(range(2, n + 1)),
+            np.arange(2, n + 1),
+            [np.int32(k) for k in range(2, n + 1)],
+            tuple(np.arange(2, n + 1, dtype=np.uint8)),
+        )
+        for target in spellings:
+            assert reorder_chain(d, target).chars.tobytes() == out.chars.tobytes()
+        after = rp._sweep_plan.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            info.hits + len(spellings), info.misses, info.currsize
+        )
+
+
 def _gauge_fix_by_factor(d):
     """gauge_fix as a loop that rebuilds one Factor per order: the reference for the array form."""
     n = d.ambient_n
@@ -791,6 +870,21 @@ class TestChainStorage:
         doc = json.loads(json.dumps(decomposition_to_json_dict(c)))
         assert doc == json.loads(json.dumps(decomposition_to_json_dict(d)))
         assert np.array_equal(compose(decomposition_from_json_dict(doc)), compose(d))
+
+    @pytest.mark.parametrize("k", [3.0, True, "3", np.float64(3)])
+    def test_factor_refuses_a_non_integer_order(self, k):
+        d = decompose(haar_random(4, 1))
+        with pytest.raises(DomainError, match="order must be an integer"):
+            d.factor(k)
+
+    def test_factor_takes_numpy_integers_and_refuses_absent_orders(self):
+        d = decompose(haar_random(4, 1))
+        for k in (2, 3, 4):
+            assert d.factor(np.int64(k)) is d.factor(k)
+            assert d.factor(k).order_k == k
+        for k in (0, 1, 5, np.int64(5)):
+            with pytest.raises(StructureError, match=f"no factor of order {k}"):
+                d.factor(k)
 
     def test_chain_check_rules_and_messages(self):
         import unichain.recursive_param as rp

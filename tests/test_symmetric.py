@@ -146,9 +146,11 @@ class TestComposeSymmetricKernel:
         p = random_params(np.random.Generator(np.random.PCG64(80 + n)), n)
         v = compose_symmetric(p)
         assert len(calls) == 2 * n - 3
-        assert all(rows is v for _, _, rows in calls)
+        assert all(rows is v for _, _, _, rows in calls)
         for i in range(n - 2):  # order i + 2 appears at positions i and 2n - 4 - i
             assert calls[i][1] is calls[2 * n - 4 - i][1]
+            assert calls[i][2] is calls[2 * n - 4 - i][2]  # its conjugate, formed once
+        assert all(np.array_equal(a_conj, a.conj()) for _, a, a_conj, _ in calls)
         assert max_abs_diff(v, v.T) <= 1e-12
 
 
