@@ -49,7 +49,6 @@ from .recursive_param import (
 from .invariants import (
     OmegaSet,
     PanelLattice,
-    Plaquette,
     PlaquetteTable,
     ZeroTextureReport,
     apply_symmetry,

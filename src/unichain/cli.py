@@ -11,9 +11,10 @@ violated precondition), 2 numeric-consistency failure (a residual above
 tolerance).  Output is deterministic: keys are emitted in a fixed order
 and numbers in shortest round-trip decimal form, so identical inputs and
 flags produce byte-identical bytes.  JSON documents are streamed a block
-at a time, after all computation and validation are done; ``invariants``
-fills one item template per plaquette, and ``invariants`` and
-``zerotexture`` one per triangle area.  An ``--out`` that cannot be
+at a time, after all validation and computation are done, but for the
+plaquettes of ``invariants``: it fills one item template per plaquette as
+the table kernel computes each block.  ``invariants`` and ``zerotexture``
+fill one item template per triangle area.  An ``--out`` that cannot be
 written, running out of memory and stdout closed early also exit 1, and
 an ``--out`` file left unfinished is removed.
 """
@@ -53,8 +54,7 @@ class ToleranceBreach(Exception):
 
 # --- JSON writer ---------------------------------------------------------------
 
-#: Most list items the writer renders per block; ``invariants`` renders whole row pairs of
-#: the plaquette table, at least one per block.
+#: Most list items the writer renders per block.
 _BLOCK_ITEMS = 4096
 #: ``float.__repr__`` of the non-finite floats, and their JSON spelling.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -181,18 +181,17 @@ def _detect_params(obj):
     )
 
 
-def _plaquette_rows(table: inv.PlaquetteTable):
-    """The table's plaquettes in ``keys()`` order, rendered as the items of the invariants
-    document's ``"plaquettes"`` list (two levels deep), a block of whole row pairs at a time."""
-    pairs = list(combinations(range(1, table.n + 1), 2))
+def _plaquette_rows(n: int, blocks):
+    """The plaquettes of the order-*n* table's *blocks* (:func:`inv._table_rows`), rendered as
+    the items of the invariants document's ``"plaquettes"`` list (two levels deep), a block of
+    whole row pairs at a time."""
+    pairs = list(combinations(range(1, n + 1), 2))
     pair_texts = _texts(pairs, 3)
     item = '{\n      "rows": %s,\n      "cols": %s,\n      "re": %s,\n      "im": %s\n    }'
-    step = max(1, _BLOCK_ITEMS // max(len(pairs), 1))
-    for start in range(0, len(pairs), step):
-        values = table.values[start : start + step]
-        rows = [text for text in pair_texts[start : start + step] for _ in pairs]
-        re, im = _texts(values.real.ravel().tolist(), 3), _texts(values.imag.ravel().tolist(), 3)
-        yield list(map(item.__mod__, zip(rows, pair_texts * len(values), re, im)))
+    for rows, re, im in blocks:
+        firsts = [text for text in pair_texts[rows] for _ in pairs]
+        texts = _texts(re.ravel().tolist(), 3), _texts(im.ravel().tolist(), 3)
+        yield list(map(item.__mod__, zip(firsts, pair_texts * len(re), *texts)))
 
 
 def _area_items(areas: list):
@@ -231,12 +230,12 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    x = mc.matrix_from_json_dict(_read_json(args.infile))
-    d = rp.decompose(x, tol=args.tol)
     if args.gauge == "canonical" and args.order == "desc":
         raise mc.DomainError(
             "canonical gauge is defined on ascending chains; use --order asc"
         )
+    x = mc.matrix_from_json_dict(_read_json(args.infile))
+    d = rp.decompose(x, tol=args.tol)
     if args.order == "asc":
         d = rp.reorder_chain(d, range(2, d.ambient_n + 1))
     if args.gauge == "canonical":
@@ -260,18 +259,20 @@ def _cmd_invariants(args) -> int:
     omegas = {}
     if isinstance(obj, dict) and "entries" in obj:
         x = mc.matrix_from_json_dict(obj)
+        inv._require_table_order(x.shape[0])  # refused before the O(n^3) checks and tables
     else:
         d = _detect_params(obj)
         if not isinstance(d, rp.Decomposition):
             raise mc.DomainError("invariants expects a matrix or a decomposition")
+        inv._require_table_order(d.ambient_n)
         x = rp.compose(d)
         if rp.infer_order(d.orders.tolist()) == rp.ASCENDING:
             omegas = {"omegas": list(inv.omega_from_params(d).omegas)}
-    table = inv.plaquette_table(x)
+    x = mc.require_unitary(x)
     payload = {
-        "n": table.n,
-        "plaquettes": _plaquette_rows(table),
-        "triangle_areas": _area_items(inv.triangle_areas(x)),
+        "n": x.shape[0],
+        "plaquettes": _plaquette_rows(x.shape[0], inv._table_rows(x)),
+        "triangle_areas": _area_items(inv._triangle_areas(x)),
         **omegas,
     }
     _emit_json(args.out, payload)

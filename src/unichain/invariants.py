@@ -132,43 +132,19 @@ def _orient(value: complex, rows, cols) -> complex:
     return value.conjugate() if (rows[0] > rows[1]) != (cols[0] > cols[1]) else value
 
 
-@dataclass(frozen=True)
-class Plaquette:
-    """One canonical fourth-order invariant.
-
-    Stored with rows and cols sorted ascending; other orientations are
-    reconstructed by :meth:`oriented` (one swap conjugates the value, so
-    the imaginary part is antisymmetric and the real part symmetric).
-    """
-
-    rows: tuple
-    cols: tuple
-    value: complex
-
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
-
-    def oriented(self, rows, cols) -> complex:
-        """Value for any orientation of the same row and column index pairs."""
-        if sorted(rows) != list(self.rows) or sorted(cols) != list(self.cols):
-            raise DomainError(
-                f"orientation {rows}/{cols} does not match plaquette {self.rows}/{self.cols}"
-            )
-        return _orient(self.value, tuple(rows), tuple(cols))
+def _pair_position(pair: tuple, n: int) -> int:
+    """The position of the 1-based order-n index pair, either way round, in ``combinations``
+    order."""
+    a, b = sorted(pair)
+    return (a - 1) * (2 * n - a) // 2 + b - a - 1
 
 
-def plaquette(x, rows, cols) -> Plaquette:
-    """The invariant for row pair *rows* and column pair *cols* of *x*."""
+def plaquette(x, rows, cols) -> complex:
+    """The invariant of row pair *rows* and column pair *cols* of *x*, in that orientation."""
     x = require_square(x)
     n = x.shape[0]
-    rows = tuple(sorted(_check_indices(rows, n, "row", 2)))
-    cols = tuple(sorted(_check_indices(cols, n, "column", 2)))
-    return Plaquette(rows, cols, _plaquette_value(x, rows, cols))
+    rows, cols = _check_indices(rows, n, "row", 2), _check_indices(cols, n, "column", 2)
+    return _orient(_plaquette_value(x, sorted(rows), sorted(cols)), rows, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,25 +166,12 @@ class PlaquetteTable:
         pairs = list(combinations(range(1, self.n + 1), 2))
         return [(rows, cols) for rows in pairs for cols in pairs]
 
-    def _pair(self, pair, what: str) -> tuple:
-        """The sorted pair and its position in ``combinations`` order."""
-        a, b = sorted(_check_indices(pair, self.n, what, 2))
-        return (a, b), (a - 1) * (2 * self.n - a) // 2 + b - a - 1
-
-    def get(self, rows, cols) -> Plaquette:
-        rows, r = self._pair(rows, "row")
-        cols, c = self._pair(cols, "column")
-        return Plaquette(rows, cols, complex(self.values[r, c]))
-
     def value(self, rows, cols) -> complex:
-        """Complex value in the requested (possibly non-canonical) orientation."""
-        return self.get(rows, cols).oriented(tuple(rows), tuple(cols))
-
-    def im(self, rows, cols) -> float:
-        return self.value(rows, cols).imag
-
-    def re(self, rows, cols) -> float:
-        return self.value(rows, cols).real
+        """The plaquette of row pair *rows* and column pair *cols*, in that orientation."""
+        n = self.n
+        rows, cols = _check_indices(rows, n, "row", 2), _check_indices(cols, n, "column", 2)
+        entry = self.values[_pair_position(rows, n), _pair_position(cols, n)]
+        return _orient(complex(entry), rows, cols)
 
 
 @functools.lru_cache(maxsize=8)
@@ -222,14 +185,20 @@ def _table_blocks(n: int) -> tuple:
     return (step, *_read_only(np.arange(n - 1, -1, -1), offsets + k))
 
 
-def _table_rows(x: np.ndarray) -> Iterator:
-    """The plaquettes of the checked square matrix *x*, (rows, re, im) per block of row pairs
-    *rows*, m = n(n-1)/2 columns each.  The call refuses m^2 over ``MAX_TABLE_ENTRIES`` and
-    builds the m-by-n side matrix; each block is computed as it is read."""
-    n = x.shape[0]
+def _require_table_order(n: int) -> None:
+    """Refuse an order n whose m^2 plaquettes, m = n(n-1)/2, are over ``MAX_TABLE_ENTRIES``."""
     m = n * (n - 1) // 2
     if m * m > MAX_TABLE_ENTRIES:
         raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
+
+
+def _table_rows(x: np.ndarray) -> Iterator:
+    """The plaquettes of the checked square matrix *x*, (rows, re, im) per block of row pairs
+    *rows*, m = n(n-1)/2 columns each.  The call refuses an order over the table cap and
+    builds the m-by-n side matrix; each block is computed as it is read."""
+    n = x.shape[0]
+    _require_table_order(n)
+    m = n * (n - 1) // 2
     # Row and column pairs share ``combinations`` order; one m-by-n side matrix.
     j, k = _pair_indices(n)
     sr, si = _sides(x.real, x.imag, j, k)
@@ -703,8 +672,8 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
         )
 
     table = _plaquette_table(std)  # std permutes the checked x: not checked again
-    j_val = table.im((1, 2), (1, 2))
-    jp_val = table.im((3, 4), (3, 4))
+    j_val = table.value((1, 2), (1, 2)).imag
+    jp_val = table.value((3, 4), (3, 4)).imag
 
     ims = table.values.imag.ravel()
     vanishing = np.count_nonzero(np.abs(ims) <= TEXTURE_VANISH_TOL)

@@ -175,11 +175,11 @@ def test_criterion_05_n3_structure():
         )
         v = compose(d)
         table = plaquette_table(v)
-        j = table.im((1, 2), (1, 2))
+        j = table.value((1, 2), (1, 2)).imag
         for rows in pairs:
             for cols in pairs:
                 sign = _eps_sign(rows) * _eps_sign(cols)
-                worst = max(worst, abs(table.im(rows, cols) - sign * j))
+                worst = max(worst, abs(table.value(rows, cols).imag - sign * j))
         for _, area in triangle_areas(v):
             worst = max(worst, abs(area - abs(j) / 2))
         worst = max(worst, abs(closed_form_j_n3(d) - j))
@@ -198,8 +198,8 @@ def test_criterion_06_n4_closed_forms():
         d = pinned_chain_n4(rng)
         table = plaquette_table(compose(d))
         f3434, f3424 = closed_forms_n4(d)
-        worst = max(worst, abs(f3434 - table.im((3, 4), (3, 4))))
-        worst = max(worst, abs(f3424 - table.im((3, 4), (2, 4))))
+        worst = max(worst, abs(f3434 - table.value((3, 4), (3, 4)).imag))
+        worst = max(worst, abs(f3424 - table.value((3, 4), (2, 4)).imag))
         # equal moduli + equal omegas => equal tables
         other = apply_symmetry(d, "S1", rng.uniform(-math.pi, math.pi))
         other = apply_symmetry(other, "S2", rng.uniform(-math.pi, math.pi))
@@ -283,7 +283,7 @@ def test_criterion_09_zero_texture():
             structure_ok = structure_ok and rep.sign_pattern[key] == label
         std = v[np.ix_([i - 1 for i in rep.row_map], [i - 1 for i in rep.col_map])]
         t = plaquette_table(std)
-        worst_sum = max(worst_sum, abs(t.im((2, 3), (2, 3)) - (rep.J + rep.J_prime)))
+        worst_sum = max(worst_sum, abs(t.value((2, 3), (2, 3)).imag - (rep.J + rep.J_prime)))
         # ratio, closed forms, modulus ratios, areas at 1e-11
         worst = max(worst, abs(rep.J_prime / rep.J - rep.ratio))
         worst = max(worst, abs(rep.J - rep.J_closed_form))
@@ -339,9 +339,8 @@ def test_criterion_10_symmetric_construction():
         direct4 = inv2 @ sym_factor(4, t4, ys, 4) @ inv2
         worst_closed = max(worst_closed, max_abs_diff(a4prime(t2, t4, ys), direct4))
         j = j_sym_n3(t2, t3, xs)
-        worst_closed = max(
-            worst_closed, abs(j - plaquette_table(v3sym_closed(t2, t3, xs)).im((1, 2), (1, 2)))
-        )
+        table = plaquette_table(v3sym_closed(t2, t3, xs))
+        worst_closed = max(worst_closed, abs(j - table.value((1, 2), (1, 2)).imag))
     ok = worst_sym <= 1e-12 and worst_uni <= 1e-11 and counts_ok
     report(
         10,

@@ -25,7 +25,14 @@ from unichain.matrix_core import (
     max_abs_diff,
     phase_matrix,
 )
-from unichain.recursive_param import decomposition_from_json_dict
+from unichain.recursive_param import (
+    compose,
+    decompose,
+    decomposition_from_json_dict,
+    decomposition_to_json_dict,
+    gauge_fix,
+    reorder_chain,
+)
 
 
 def write_matrix(tmp_path, name, x):
@@ -65,6 +72,23 @@ class TestPipeline:
         dec = run_cli(["decompose", "--gauge", "canonical"], stdin=gen.stdout)
         assert dec.returncode == 1
         assert "asc" in dec.stderr
+
+    def test_canonical_with_descending_refused_before_reading(self, tmp_path, capsys, monkeypatch):
+        from unichain import recursive_param
+
+        refusal = "canonical gauge is defined on ascending chains"
+        missing = str(tmp_path / "missing.json")
+        assert main(["decompose", "--gauge", "canonical", "--order", "desc", "--in", missing]) == 1
+        err = capsys.readouterr().err
+        assert refusal in err and "cannot read" not in err
+
+        def decompose(*args, **kwargs):
+            raise AssertionError("decompose ran before the flags were checked")
+
+        monkeypatch.setattr(recursive_param, "decompose", decompose)
+        path = write_matrix(tmp_path, "m.json", haar_random(4, 1))
+        assert main(["decompose", "--gauge", "canonical", "--in", path]) == 1
+        assert refusal in capsys.readouterr().err
 
     def test_reorder(self):
         gen = run_cli(["gen", "--n", "4", "--seed", "9"])
@@ -466,6 +490,28 @@ class TestOversizedInput:
         assert f"over the cap {MAX_TABLE_ENTRIES}" in capsys.readouterr().err
 
 
+    def test_invariants_refuses_order_above_cap_before_composing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from unichain import recursive_param
+
+        chain = gauge_fix(reorder_chain(decompose(haar_random(65, 1)), range(2, 66)))
+        path = tmp_path / "chain65.json"
+        path.write_text(json.dumps(decomposition_to_json_dict(chain)))
+
+        def compose(*args, **kwargs):
+            raise AssertionError("invariants composed an order the table cap refuses")
+
+        monkeypatch.setattr(recursive_param, "compose", compose)
+        assert main(["invariants", "--in", str(path)]) == 1
+        assert f"over the cap {MAX_TABLE_ENTRIES}" in capsys.readouterr().err
+        # A matrix is measured against the cap before its unitarity: a non-unitary one of
+        # order 65 reports the cap.
+        ones = write_matrix(tmp_path, "ones.json", np.ones((65, 65)))
+        assert main(["invariants", "--in", ones]) == 1
+        assert f"over the cap {MAX_TABLE_ENTRIES}" in capsys.readouterr().err
+
+
 class TestSmallOrders:
     def test_verify_accepts_1x1(self):
         gen = run_cli(["gen", "--n", "1", "--seed", "4"])
@@ -510,7 +556,7 @@ class TestByteContract:
             assert [(r["rows"], r["cols"]) for r in rows] == [(a, b) for a in pairs for b in pairs]
             for r in rows:
                 p = plaquette(x, r["rows"], r["cols"])
-                assert (r["re"], r["im"]) == (p.re, p.im)
+                assert (r["re"], r["im"]) == (p.real, p.imag)
 
     def test_panel_equals_scalar_plaquettes(self):
         from unichain.invariants import plaquette
@@ -523,8 +569,8 @@ class TestByteContract:
         for a in range(3):
             for b in range(3):
                 p = plaquette(x, (a + 1, a + 2), (b + 1, b + 2))
-                assert report["panels_re"][a][b] == p.re
-                assert report["panels_im"][a][b] == p.im
+                assert report["panels_re"][a][b] == p.real
+                assert report["panels_im"][a][b] == p.imag
 
     def test_zerotexture_equals_scalar_plaquettes(self, tmp_path):
         from unichain.invariants import plaquette, zero_texture_analysis
@@ -536,8 +582,8 @@ class TestByteContract:
         rmap = [i - 1 for i in report["row_map"]]
         cmap = [i - 1 for i in report["col_map"]]
         std = x[np.ix_(rmap, cmap)]
-        assert report["J"] == plaquette(std, (1, 2), (1, 2)).im
-        assert report["J_prime"] == plaquette(std, (3, 4), (3, 4)).im
+        assert report["J"] == plaquette(std, (1, 2), (1, 2)).imag
+        assert report["J_prime"] == plaquette(std, (3, 4), (3, 4)).imag
         expected = zero_texture_analysis(x).sign_pattern
         assert [(tuple(e["rows"]), tuple(e["cols"])) for e in report["sign_pattern"]] == list(
             expected
@@ -547,6 +593,22 @@ class TestByteContract:
 
 def _dumps(payload):
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _invariants_payload(x, **extra):
+    """The invariants document of *x* as one dict, from the public table and areas."""
+    table = plaquette_table(x)
+    return {
+        "n": table.n,
+        "plaquettes": [
+            {"rows": list(r), "cols": list(c), "re": v.real, "im": v.imag}
+            for (r, c), v in zip(table.keys(), table.values.ravel().tolist())
+        ],
+        "triangle_areas": [
+            {"pair": [kind, i, j], "area": float(area)} for (kind, i, j), area in triangle_areas(x)
+        ],
+        **extra,
+    }
 
 
 class TestStreamedWriter:
@@ -649,22 +711,31 @@ class TestStreamedWriter:
         # The plaquette rows as one dict each, the way the document was first built.
         for n in (1, 2, 3, 6, 16):  # n = 1: no plaquettes; n = 16: 4 blocks of 34 row pairs
             x = haar_random(n, n)
-            table = plaquette_table(x)
-            values = table.values.ravel().tolist()
-            payload = {
-                "n": n,
-                "plaquettes": [
-                    {"rows": list(r), "cols": list(c), "re": v.real, "im": v.imag}
-                    for (r, c), v in zip(table.keys(), values)
-                ],
-                "triangle_areas": [
-                    {"pair": [kind, i, j], "area": float(area)}
-                    for (kind, i, j), area in triangle_areas(x)
-                ],
-            }
             out = tmp_path / f"inv{n}.json"
             assert main(["invariants", "--in", write_matrix(tmp_path, "m.json", x), "--out", str(out)]) == 0
-            assert out.read_text() == _dumps(payload)
+            assert out.read_text() == _dumps(_invariants_payload(x))
+
+    def test_invariants_render_the_kernel_blocks(self, tmp_path, capsys, monkeypatch):
+        # The document is rendered from the table kernel's blocks; no table is built for it.
+        cases = []
+        for n in (1, 2, 3, 4, 16):
+            x = haar_random(n, n)
+            cases.append((write_matrix(tmp_path, f"m{n}.json", x), _invariants_payload(x)))
+        chain = tmp_path / "asc.json"
+        chain.write_text(json.dumps(decomposition_to_json_dict(
+            gauge_fix(reorder_chain(decompose(haar_random(5, 8)), range(2, 6)))
+        )))
+        d = decomposition_from_json_dict(json.loads(chain.read_text()))
+        omegas = list(omega_from_params(d).omegas)
+        cases.append((str(chain), _invariants_payload(compose(d), omegas=omegas)))
+
+        def plaquette_table(*args, **kwargs):
+            raise AssertionError("invariants built a plaquette table")
+
+        monkeypatch.setattr(cli.inv, "plaquette_table", plaquette_table)
+        for path, payload in cases:
+            assert main(["invariants", "--in", path]) == 0
+            assert capsys.readouterr().out == _dumps(payload)
 
     def test_invalid_input_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "never.json"
@@ -687,8 +758,8 @@ class TestStreamedWriter:
         out = tmp_path / "inv.json"
         rows = cli._plaquette_rows
 
-        def failing(table):
-            yield next(rows(table))
+        def failing(n, blocks):
+            yield next(rows(n, blocks))
             assert out.exists()
             raise MemoryError
 

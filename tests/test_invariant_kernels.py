@@ -75,7 +75,17 @@ def test_table_entries_equal_scalar_plaquettes(x):
     keys = table.keys()
     assert len(keys) == len(table) == table.values.size
     for key, value in zip(keys, table.values.ravel()):
-        assert value == plaquette(x, *key).value == scalar_quartet(x, *key)
+        assert value == plaquette(x, *key) == scalar_quartet(x, *key)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_scalar_and_table_plaquettes_agree_in_every_orientation(n):
+    x = haar_random(n, 21)
+    table = plaquette_table(x)
+    for rows, cols in table.keys():
+        for r in (rows, rows[::-1]):
+            for c in (cols, cols[::-1]):
+                assert plaquette(x, r, c) == table.value(r, c)
 
 
 @pytest.mark.parametrize("x", MATRICES, ids=IDS)
@@ -131,20 +141,19 @@ class TestTableContract:
         x = haar_random(5, 7)
         t = plaquette_table(x)
         canonical = plaquette(x, (2, 4), (1, 5))
-        p = t.get((4, 2), (5, 1))
-        assert (p.rows, p.cols, p.value) == ((2, 4), (1, 5), canonical.value)
-        assert t.value((2, 4), (1, 5)) == canonical.value
-        assert t.value((4, 2), (1, 5)) == canonical.value.conjugate()
-        assert t.value((2, 4), (5, 1)) == canonical.value.conjugate()
-        assert t.value((4, 2), (5, 1)) == canonical.value
-        assert t.im((4, 2), (1, 5)) == -canonical.im
-        assert t.re((4, 2), (1, 5)) == canonical.re
+        assert plaquette(x, (4, 2), (5, 1)) == canonical
+        assert t.value((2, 4), (1, 5)) == canonical
+        assert t.value((4, 2), (1, 5)) == canonical.conjugate()
+        assert t.value((2, 4), (5, 1)) == canonical.conjugate()
+        assert t.value((4, 2), (5, 1)) == canonical
+        assert t.value((4, 2), (1, 5)).imag == -canonical.imag
+        assert t.value((4, 2), (1, 5)).real == canonical.real
 
     def test_bad_pairs_rejected(self):
         t = plaquette_table(haar_random(4, 3))
         for rows, cols in (((1, 1), (1, 2)), ((1, 2), (0, 2)), ((1, 5), (1, 2))):
             with pytest.raises(DomainError):
-                t.get(rows, cols)
+                t.value(rows, cols)
 
 
 # The kernels work in blocks of at most 8192 entries: the n = 16 table takes 2 blocks of row
@@ -205,7 +214,7 @@ class TestIndexArguments:
     @pytest.mark.parametrize("rows, cols", BAD)
     def test_plaquette_and_table_refuse(self, rows, cols):
         table = plaquette_table(self.X)
-        for lookup in (partial(plaquette, self.X), table.get, table.value):
+        for lookup in (partial(plaquette, self.X), table.value):
             with pytest.raises(DomainError, match="must be integers"):
                 lookup(rows, cols)
 
@@ -226,7 +235,7 @@ class TestIndexArguments:
     def test_numpy_integers_accepted(self):
         table = plaquette_table(self.X)
         rows, cols = (np.int64(4), np.int32(2)), (np.uint8(1), np.int16(5))
-        assert plaquette(self.X, rows, cols).value == plaquette(self.X, (4, 2), (1, 5)).value
+        assert plaquette(self.X, rows, cols) == plaquette(self.X, (4, 2), (1, 5))
         assert table.value(rows, cols) == table.value((4, 2), (1, 5))
         triple = (np.int64(2), np.int64(1), np.int64(4))
         assert reduce_sextet(self.X, triple, triple) == reduce_sextet(self.X, (2, 1, 4), (2, 1, 4))
@@ -244,7 +253,7 @@ def test_sextet_lhs_is_the_numpy_scalar_product(n):
 
 @pytest.mark.parametrize("n", [3, 4, 8, 24])
 def test_sextet_reduction_from_oriented_plaquettes(n, monkeypatch):
-    # rhs equals the reduction written with plaquette().oriented(), bit for bit, while
+    # rhs equals the reduction written with oriented plaquette() values, bit for bit, while
     # reduce_sextet itself forms its two plaquettes without calling plaquette().
     x = haar_random(n, 13)
     rng = np.random.default_rng(n)
@@ -254,8 +263,8 @@ def test_sextet_reduction_from_oriented_plaquettes(n, monkeypatch):
         cols = tuple(int(i) + 1 for i in rng.choice(n, 3, replace=False))
         (a, b, c), (j, k, l) = rows, cols
         if abs(x[b - 1, j - 1]) > 1e-6:
-            p1 = plaquette(x, (a, b), (j, k)).oriented((a, b), (j, k))
-            p2 = plaquette(x, (b, c), (j, l)).oriented((b, c), (j, l))
+            p1 = plaquette(x, (a, b), (j, k))
+            p2 = plaquette(x, (b, c), (j, l))
             rhs = (p1.imag * p2.real + p1.real * p2.imag) / abs(x[b - 1, j - 1]) ** 2
             cases.append((rows, cols, float(rhs)))
 
