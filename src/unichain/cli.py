@@ -287,10 +287,10 @@ def _cmd_panel(args) -> int:
         "panels_re": [[float(v) for v in row] for row in lat.R],
         "panels_im": [[float(v) for v in row] for row in lat.J],
     }
-    if lat.n == 4:
-        residuals = inv.panel_relation_residuals(x)
-        solved = inv.basis_solve_n4(x)
-        payload["relation_residuals"] = [float(r) for r in residuals]
+    if lat.n == 4:  # x is checked: one relation system gives the residuals and the solve
+        a, b, j_direct = system = inv._relation_system(x, lat)
+        solved = inv._solve_relations(system)
+        payload["relation_residuals"] = [float(r) for r in a @ j_direct - b]
         payload["basis_solve"] = {f"J{a}{b}": v for (a, b), v in solved.items()}
         payload["basis_residuals"] = {
             f"J{a}{b}": abs(v - float(lat.J[a - 1, b - 1])) for (a, b), v in solved.items()
@@ -348,54 +348,46 @@ def _cmd_symmetric(args) -> int:
 
 def _verify_checks(x: np.ndarray, tol: float, seed: int) -> list:
     """Run the identity suite on one unitary; returns check records."""
-    checks = []
-
-    def record(name, residual, tolerance):
-        checks.append(
-            {
-                "name": name,
-                "residual": float(residual),
-                "tolerance": float(tolerance),
-                "ok": bool(residual <= tolerance),
-            }
-        )
-
-    n = x.shape[0]
     defect = mc.unitarity_defect(x)
-    record("unitarity", defect, tol)
-    if defect > tol:
-        return checks  # nothing downstream is defined
-    # The public invariant functions admit only a defect within the default tolerance.
-    admitted = defect <= mc.DEFAULT_UNITARITY_TOL
+    # Nothing past a failed gate is defined; the invariant relations are checked only on a
+    # matrix the public invariant functions admit, a defect within the default tolerance.
+    rest = _identities(x, tol, seed, defect <= mc.DEFAULT_UNITARITY_TOL) if defect <= tol else ()
+    return [
+        {"name": name, "residual": float(r), "tolerance": float(t), "ok": bool(r <= t)}
+        for name, r, t in (("unitarity", defect, tol), *rest)
+    ]
+
+
+def _identities(x: np.ndarray, tol: float, seed: int, admitted: bool) -> Iterator:
+    """(name, residual, tolerance) of each identity check on *x*, whose defect is within
+    *tol*.  The checks run private kernels, which do not check *x* again; only
+    ``inv.basis_solve_n4`` at n = 4 does."""
+    n = x.shape[0]
     # The plaquette tables of x and of a rephasing of it are compared a block of row pairs at
-    # a time, neither held whole; the first stream refuses an order over the table cap here.
+    # a time, neither held whole.
     table = inv._table_rows(x)
     rng = np.random.Generator(np.random.PCG64(seed))
     left, right = (mc.phase_matrix(rng.uniform(-np.pi, np.pi, n)) for _ in range(2))
     blocks = zip(table, inv._table_rows(left @ x @ right))
 
-    d = rp.decompose(x, tol=tol)
-    record("round_trip", mc.max_abs_diff(rp.compose(d), x), 10 * tol)
+    d = rp._peel(x, tol)
+    yield "round_trip", mc.max_abs_diff(rp.compose(d), x), 10 * tol
 
-    gen_res = max(
-        mc.max_abs_diff(rp.exp_generator(f.theta, rp.generator(f)), rp.embed(f))
-        for f in d.factors
-    ) if d.factors else 0.0
-    record("generator_closed_form", gen_res, 1e-13)
+    residuals = (rp.exp_generator(f.theta, rp.generator(f)) - rp.embed(f) for f in d.factors)
+    yield "generator_closed_form", max(map(mc.maxnorm, residuals), default=0.0), 1e-13
 
     if n >= 2:
         asc = rp.reorder_chain(d, range(2, n + 1))
-        record("reorder_product", mc.max_abs_diff(rp.compose(asc), x), 1e-11)
-        record("gauge_product", mc.max_abs_diff(rp.compose(rp.gauge_fix(asc)), x), 1e-11)
+        yield "reorder_product", mc.max_abs_diff(rp.compose(asc), x), 1e-11
+        yield "gauge_product", mc.max_abs_diff(rp.compose(rp.gauge_fix(asc)), x), 1e-11
 
     worst = 0.0  # the largest |difference| of two entries, as abs of a complex
     for (_, re, im), (_, re2, im2) in blocks:
         worst = max(worst, np.max(np.hypot(re - re2, im - im2)))
-    record("rephasing_invariance", worst, 1e-12)
+    yield "rephasing_invariance", worst, 1e-12
 
     if n >= 3:
-        worst = 0.0
-        trials = 0
+        worst, trials = 0.0, 0
         for _ in range(400):  # bounded: sparse matrices reject most pivots
             if trials >= 20:
                 break
@@ -406,30 +398,25 @@ def _verify_checks(x: np.ndarray, tol: float, seed: int) -> list:
             lhs, rhs = inv.reduce_sextet(x, rows, cols)
             worst = max(worst, abs(lhs - rhs))
             trials += 1
-        record("sextet_reduction", worst, 1e-11)
+        yield "sextet_reduction", worst, 1e-11
 
     if n == 3:  # the last block read, im, is x's whole 3-by-3 table
         j = im[0, 0]
-        record("epsilon_pattern", np.max(np.abs(np.abs(im) - abs(j))), 1e-13)
+        yield "epsilon_pattern", np.max(np.abs(np.abs(im) - abs(j))), 1e-13
         if admitted:
-            areas = [area for _, area in inv.triangle_areas(x)]
-            record("triangle_areas", max(abs(area - abs(j) / 2) for area in areas), 1e-13)
+            areas = [area for _, area in inv._triangle_areas(x)]
+            yield "triangle_areas", max(abs(area - abs(j) / 2) for area in areas), 1e-13
 
     if n == 4 and admitted and np.min(np.abs(x)) > 1e-9:
-        record("panel_relations", mc.maxnorm(inv.panel_relation_residuals(x)), 1e-12)
-        solved = inv.basis_solve_n4(x)
-        lat = inv.panel_lattice(x)
-        record(
-            "basis_solve",
-            max(abs(v - lat.J[a - 1, b - 1]) for (a, b), v in solved.items()),
-            1e-10,
-        )
-
-    return checks
+        a, b, j_direct = inv._relation_system(x)
+        yield "panel_relations", mc.maxnorm(a @ j_direct - b), 1e-12
+        solved = inv.basis_solve_n4(x).values()  # in the order of j_direct
+        yield "basis_solve", max(abs(v - j) for v, j in zip(solved, j_direct)), 1e-10
 
 
 def _cmd_verify(args) -> int:
     x = mc.matrix_from_json_dict(_read_json(args.infile))
+    inv._require_table_order(x.shape[0])  # refused before the unitarity check and the tables
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)
     max_residual = max(c["residual"] for c in checks)
     ok = all(c["ok"] for c in checks)

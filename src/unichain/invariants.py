@@ -407,18 +407,18 @@ _RELATION_ENTRIES = tuple(  # (r, c) and (r', c') of each relation's m, row-majo
 )
 
 
-def _relation_system(x) -> tuple:
-    """The six panel relations of a 4-by-4 unitary as a linear system.
+def _relation_system(x: np.ndarray, lat: PanelLattice | None = None) -> tuple:
+    """The six panel relations of the checked 4-by-4 unitary *x* as a linear system.
 
     Returns (A, b, J_direct): the relations read A @ u = b in the unknowns
     u = (J12, J13, J21, J23, J31, J32), 1-based panel labels, whose
     directly computed values are J_direct.  Every matrix element appearing
-    in a denominator must be nonzero beyond ``RELATION_ZERO_TOL``.
+    in a denominator must be nonzero beyond ``RELATION_ZERO_TOL``.  The
+    panels are those of *lat*, or of a lattice built here.
     """
-    x = require_unitary(x)
     if x.shape[0] != 4:
         raise DomainError(f"the six panel relations are specific to n=4, got n={x.shape[0]}")
-    panels = _panel_lattice(x).panels.tolist()
+    panels = (_panel_lattice(x) if lat is None else lat).panels.tolist()
     panel = {(p + 1, q + 1): v for p, row in enumerate(panels) for q, v in enumerate(row)}
     a, b = np.zeros((6, 6)), np.zeros(6)
     for i, (unknown, coupled, basis, one_couples) in enumerate(_RELATIONS):
@@ -439,6 +439,20 @@ def _relation_system(x) -> tuple:
     return a, b, j_direct
 
 
+def _solve_relations(system: tuple) -> dict:
+    """:func:`basis_solve_n4` of the relation *system* of :func:`_relation_system`."""
+    a, b, j_direct = system
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > RELATION_COND_LIMIT:
+        direct = dict(zip(_DEPENDENT_PANELS, (float(v) for v in j_direct)))
+        raise PreconditionError(
+            f"panel relation system is singular (cond={cond:.3e}); "
+            f"directly computed panels: {direct}"
+        )
+    u = np.linalg.solve(a, b)
+    return dict(zip(_DEPENDENT_PANELS, (float(v) for v in u)))
+
+
 def panel_relation_residuals(x) -> np.ndarray:
     """LHS - RHS of the six panel unitarity relations of a 4-by-4 unitary.
 
@@ -446,7 +460,7 @@ def panel_relation_residuals(x) -> np.ndarray:
     every matrix element appearing in a denominator to be nonzero beyond
     ``RELATION_ZERO_TOL``.
     """
-    a, b, j_direct = _relation_system(x)
+    a, b, j_direct = _relation_system(require_unitary(x))
     return a @ j_direct - b
 
 
@@ -461,16 +475,7 @@ def basis_solve_n4(x) -> dict:
     ``RELATION_COND_LIMIT``, degenerate moduli) is reported as unsolvable
     together with the directly computed panel values.
     """
-    a, b, j_direct = _relation_system(x)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > RELATION_COND_LIMIT:
-        direct = dict(zip(_DEPENDENT_PANELS, (float(v) for v in j_direct)))
-        raise PreconditionError(
-            f"panel relation system is singular (cond={cond:.3e}); "
-            f"directly computed panels: {direct}"
-        )
-    u = np.linalg.solve(a, b)
-    return dict(zip(_DEPENDENT_PANELS, (float(v) for v in u)))
+    return _solve_relations(_relation_system(require_unitary(x)))
 
 
 # --- closed forms from the chain parameters ---------------------------------
@@ -658,9 +663,10 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
     zeros; ``vanishing_count`` counts the imaginary parts at most
     ``TEXTURE_VANISH_TOL``.
     """
-    x = require_unitary(x)
-    if x.shape[0] != 4:
+    x = require_square(x)
+    if x.shape[0] != 4:  # refused before the unitarity check
         raise DomainError(f"zero-texture analysis is specific to n=4, got n={x.shape[0]}")
+    x = require_unitary(x)
     row_order, col_order, zeros = _texture_permutation(x, tol)
     std = x[np.ix_(row_order, col_order)]
     nonzero_min = min(

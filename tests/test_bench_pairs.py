@@ -1,6 +1,8 @@
 """The summary of tools/bench_pairs.py: medians, quartiles and the change's pair counts."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +63,41 @@ def test_workloads_apart_and_unnamed_or_missing_metrics_left_out():
 )
 def test_seed_specs(spec, seeds):
     assert bench_pairs.seeds_of(spec) == seeds
+
+
+def test_change_side_runs_from_a_copy_without_bytecode(tmp_path, monkeypatch, capsys):
+    # A __pycache__ in the working tree once sped up the change side alone; both sides now
+    # run from fresh copies, the change side's holding the tree's uncommitted files.
+    repo, work = tmp_path / "repo", tmp_path / "work"
+    pkg = repo / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text("VALUE = 1\n")
+    better = {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(better))
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run([*git, *args], cwd=repo, check=True)
+    (pkg / "mod.py").write_text("VALUE = 2\n")
+    (pkg / "new.py").write_text("")
+    (pkg / "__pycache__").mkdir()
+    (pkg / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+    seen = {}
+
+    def run(checkout, workload, seed, seconds):
+        seen[checkout.relative_to(work).as_posix()] = (
+            sorted(p.relative_to(checkout).as_posix() for p in checkout.rglob("*")),
+            (checkout / "src" / "pkg" / "mod.py").read_text(),
+        )
+        return {"ops_per_s": 1.0}, {"correct": True, "attempted": 1, "failed": 0}, None
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run", run)
+    argv = ["--base", "HEAD", "--pr", "0", "--pairs", "w:1", "--out", str(tmp_path / "out.json"),
+            "--workdir", str(work)]
+    assert bench_pairs.main(argv) == 0
+    tree = ["BENCHMARK.json", "src", "src/pkg", "src/pkg/mod.py"]
+    assert seen == {
+        "base": (tree, "VALUE = 1\n"),
+        "change": (sorted([*tree, "src/pkg/new.py"]), "VALUE = 2\n"),
+    }
+    assert list(work.iterdir()) == []

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import cli_env, run_cli, texture_matrix
-from unichain import cli
+from unichain import cli, matrix_core
+from unichain import invariants as inv
 from unichain.cli import MAX_GEN_N, main
 from unichain.invariants import (
     MAX_TABLE_ENTRIES,
@@ -478,16 +479,30 @@ class TestOversizedInput:
             assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_verify_refuses_order_above_cap_before_decomposing(self, tmp_path, capsys, monkeypatch):
-        # The table cap is checked right after unitarity, before the chain checks.
+        # The table cap is checked right after parsing, before the chain checks.
         from unichain import recursive_param
 
         def decompose(*args, **kwargs):
             raise AssertionError("verify decomposed an order the table cap refuses")
 
         monkeypatch.setattr(recursive_param, "decompose", decompose)
+        monkeypatch.setattr(recursive_param, "_peel", decompose)
         path = write_matrix(tmp_path, "n200.json", haar_random(200, 1))
         assert main(["verify", "--in", path]) == 1
         assert f"over the cap {MAX_TABLE_ENTRIES}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix", [haar_random(65, 1), np.ones((65, 65))])
+    def test_verify_refuses_order_above_cap_before_the_unitarity_check(
+        self, tmp_path, capsys, monkeypatch, matrix
+    ):
+        def defect(m):
+            raise AssertionError("verify checked the unitarity of an order the cap refuses")
+
+        monkeypatch.setattr(matrix_core, "_defect", defect)
+        path = write_matrix(tmp_path, "n65.json", matrix)
+        assert main(["verify", "--in", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"over the cap {MAX_TABLE_ENTRIES}" in err
 
 
     def test_invariants_refuses_order_above_cap_before_composing(
@@ -510,6 +525,43 @@ class TestOversizedInput:
         ones = write_matrix(tmp_path, "ones.json", np.ones((65, 65)))
         assert main(["invariants", "--in", ones]) == 1
         assert f"over the cap {MAX_TABLE_ENTRIES}" in capsys.readouterr().err
+
+
+class TestOneGatePerCommand:
+    """A command checks its matrix once, as a public library call does."""
+
+    @staticmethod
+    def count(monkeypatch, module, name) -> list:
+        real, calls = getattr(module, name), []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 16])
+    @pytest.mark.parametrize("command", ["decompose", "invariants", "panel", "verify"])
+    def test_one_unitarity_check(self, tmp_path, capsys, monkeypatch, command, n):
+        path = write_matrix(tmp_path, "x.json", haar_random(n, 3))
+        checked = self.count(monkeypatch, matrix_core, "_defect")
+        assert main([command, "--in", path]) == 0
+        # verify at n = 4 solves the panel relations through the public basis_solve_n4,
+        # which checks again: bench/test_bench.py requires that call from the CLI.
+        assert len(checked) == (2 if (command, n) == ("verify", 4) else 1)
+
+    def test_zerotexture_checks_once(self, tmp_path, capsys, monkeypatch):
+        path = write_matrix(tmp_path, "t.json", texture_matrix(np.random.default_rng(3)))
+        checked = self.count(monkeypatch, matrix_core, "_defect")
+        assert main(["zerotexture", "--in", path]) == 0
+        assert len(checked) == 1
+
+    def test_panel_builds_one_lattice(self, tmp_path, capsys, monkeypatch):
+        path = write_matrix(tmp_path, "x.json", haar_random(4, 3))
+        built = self.count(monkeypatch, inv, "_panel_lattice")
+        assert main(["panel", "--in", path]) == 0
+        assert len(built) == 1
 
 
 class TestSmallOrders:

@@ -823,6 +823,14 @@ class TestZeroTexture:
         with pytest.raises(DomainError):
             zero_texture_analysis(haar_random(3, 32))
 
+    def test_order_refused_before_the_unitarity_check(self, monkeypatch):
+        def defect(m):
+            raise AssertionError("the order was checked after the unitarity defect")
+
+        monkeypatch.setattr(matrix_core, "_defect", defect)
+        with pytest.raises(DomainError, match="specific to n=4, got n=5"):
+            zero_texture_analysis(np.ones((5, 5)))
+
 
 class TestValidateOnce:
     """A public call checks its matrix once; the work nested in it runs on the checked array."""

@@ -4,14 +4,16 @@
     python tools/bench_pairs.py --base main --pr 19 --seconds 30 \\
         --pairs chain_roundtrip:901-910 --pairs invariant_tables:911-913
 
-For each workload and seed, ``bench/run.py --trace 0`` runs once on this
-tree and once on the committed files of the base ref, unpacked from
-``git archive`` under ``--workdir``.  The two runs of a pair follow each
-other, never overlap, and take turns at running first.  ``BENCH_<pr>.json``
-at the repository root (or ``--out``) lists every run's end-to-end metrics
-and, per workload and metric, each side's median and quartiles and the
-change's wins, losses and ties over the pairs, judged by the metric's
-``better`` direction in ``BENCHMARK.json``.  The file is rewritten after
+For each workload and seed, ``bench/run.py --trace 0`` runs once on a copy
+of this tree and once on the committed files of the base ref, unpacked
+from ``git archive``, both under ``--workdir``.  The copy holds the files
+that git tracks or would track, uncommitted edits included, and no
+``__pycache__``, so neither side starts with compiled bytecode.  The two
+runs of a pair follow each other, never overlap, and take turns at running
+first.  ``BENCH_<pr>.json`` at the repository root (or ``--out``) lists
+every run's end-to-end metrics and, per workload and metric, each side's
+median and quartiles and the change's wins, losses and ties over the
+pairs, judged by the metric's ``better`` direction in ``BENCHMARK.json``.  The file is rewritten after
 every pair, so an interrupted sweep keeps the pairs it finished.
 """
 
@@ -106,6 +108,19 @@ def export(ref: str, dest: Path) -> str:
     return sha
 
 
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree's files, tracked or untracked but not ignored, into *dest*,
+    leaving out any ``__pycache__``."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=ROOT,
+                           capture_output=True, text=True, check=True).stdout.split("\0")
+    dest.mkdir(parents=True)
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.is_file() and "__pycache__" not in source.parts:  # a deleted file is listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git ref of the base side")
@@ -114,8 +129,8 @@ def main(argv=None) -> int:
                    help="a workload and its seeds, e.g. chain_roundtrip:901-910; repeatable")
     p.add_argument("--seconds", type=float, default=30.0, help="--seconds of each run")
     p.add_argument("--out", type=Path, help="output file (default: BENCH_<pr>.json at the root)")
-    p.add_argument("--workdir", type=Path, help="where the base ref is unpacked (default: a "
-                   "temporary directory, removed at the end)")
+    p.add_argument("--workdir", type=Path, help="where the base ref is unpacked and this tree "
+                   "copied (default: a temporary directory, removed at the end)")
     args = p.parse_args(argv)
     jobs = [(w, seed) for spec in args.pairs for w, _, s in [spec.partition(":")]
             for seed in seeds_of(s)]
@@ -124,20 +139,21 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        base_dir = workdir / "base"
+        base_dir, change_dir = workdir / "base", workdir / "change"
         sha = export(args.base, base_dir)
+        copy_tree(change_dir)
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                               text=True, check=True).stdout.strip()
         doc = {
             "base": {"ref": args.base, "commit": sha},
-            "change": {"tree": "working tree", "head": head},
+            "change": {"tree": "copy of the working tree", "head": head},
             "command": " ".join(["python3", *RUN, "--workload W --seed S --seconds",
                                  f"{args.seconds:g}"]),
             "pairs": [],
         }
         for i, (workload, seed) in enumerate(jobs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            checkout = {"base": base_dir, "change": ROOT}
+            checkout = {"base": base_dir, "change": change_dir}
             runs = {side: run(checkout[side], workload, seed, args.seconds) for side in order}
             base, change = runs["base"][0], runs["change"][0]
             doc["pairs"].append({
@@ -156,6 +172,7 @@ def main(argv=None) -> int:
             shutil.rmtree(workdir, ignore_errors=True)
         else:
             shutil.rmtree(workdir / "base", ignore_errors=True)
+            shutil.rmtree(workdir / "change", ignore_errors=True)
     return 0
 
 
