@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import sys
@@ -31,10 +32,27 @@ from itertools import combinations
 
 import numpy as np
 
-from . import invariants as inv
 from . import matrix_core as mc
-from . import recursive_param as rp
-from . import symmetric as sym
+
+
+def _lazy_layer(name: str):
+    """The module ``unichain.<name>``: the imported one if there is one, else one whose body
+    runs on its first attribute read (the ``importlib.util.LazyLoader`` recipe)."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:  # one module object per layer, so its classes are the same
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# A command runs the layers it reads and no other: ``gen`` none of these, ``decompose`` rp.
+rp = _lazy_layer("recursive_param")
+inv = _lazy_layer("invariants")
+sym = _lazy_layer("symmetric")
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -211,9 +229,15 @@ def _area_items(areas: list):
 # --- subcommand implementations ----------------------------------------------
 
 
+def _require_seed(seed: int):
+    if seed < 0:
+        raise mc.DomainError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _cmd_gen(args) -> int:
     if args.n > MAX_GEN_N:
         raise mc.DomainError(f"matrix order {args.n} exceeds the cap {MAX_GEN_N}")
+    _require_seed(args.seed)
     x = mc.haar_random(args.n, args.seed)
     _emit_matrix(args.out, x, args.format)
     return _EXIT_OK
@@ -415,6 +439,7 @@ def _identities(x: np.ndarray, tol: float, seed: int, admitted: bool) -> Iterato
 
 
 def _cmd_verify(args) -> int:
+    _require_seed(args.seed)  # refused before the input is read
     x = mc.matrix_from_json_dict(_read_json(args.infile))
     inv._require_table_order(x.shape[0])  # refused before the unitarity check and the tables
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)

@@ -65,10 +65,10 @@ def test_seed_specs(spec, seeds):
     assert bench_pairs.seeds_of(spec) == seeds
 
 
-def test_change_side_runs_from_a_copy_without_bytecode(tmp_path, monkeypatch, capsys):
-    # A __pycache__ in the working tree once sped up the change side alone; both sides now
-    # run from fresh copies, the change side's holding the tree's uncommitted files.
-    repo, work = tmp_path / "repo", tmp_path / "work"
+def _committed_repo(tmp_path, monkeypatch):
+    """A git repository with one commit holding src/pkg/mod.py and BENCHMARK.json, made the
+    tool's root."""
+    repo = tmp_path / "repo"
     pkg = repo / "src" / "pkg"
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text("VALUE = 1\n")
@@ -77,6 +77,15 @@ def test_change_side_runs_from_a_copy_without_bytecode(tmp_path, monkeypatch, ca
     git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
         subprocess.run([*git, *args], cwd=repo, check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    return repo
+
+
+def test_change_side_runs_from_a_copy_without_bytecode(tmp_path, monkeypatch, capsys):
+    # A __pycache__ in the working tree once sped up the change side alone; both sides now
+    # run from fresh copies, the change side's holding the tree's uncommitted files.
+    repo, work = _committed_repo(tmp_path, monkeypatch), tmp_path / "work"
+    pkg = repo / "src" / "pkg"
     (pkg / "mod.py").write_text("VALUE = 2\n")
     (pkg / "new.py").write_text("")
     (pkg / "__pycache__").mkdir()
@@ -90,7 +99,6 @@ def test_change_side_runs_from_a_copy_without_bytecode(tmp_path, monkeypatch, ca
         )
         return {"ops_per_s": 1.0}, {"correct": True, "attempted": 1, "failed": 0}, None
 
-    monkeypatch.setattr(bench_pairs, "ROOT", repo)
     monkeypatch.setattr(bench_pairs, "run", run)
     argv = ["--base", "HEAD", "--pr", "0", "--pairs", "w:1", "--out", str(tmp_path / "out.json"),
             "--workdir", str(work)]
@@ -101,3 +109,66 @@ def test_change_side_runs_from_a_copy_without_bytecode(tmp_path, monkeypatch, ca
         "change": (sorted([*tree, "src/pkg/new.py"]), "VALUE = 2\n"),
     }
     assert list(work.iterdir()) == []
+
+
+def test_failed_run_raises_with_exit_code_and_last_stderr_lines(monkeypatch):
+    stderr = "".join(f"line {i}\n" for i in range(20))
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 3, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(bench_pairs.RunFailed) as info:
+        bench_pairs.run(Path("."), "cli_pipeline", 7, 1.0)
+    message = str(info.value)
+    assert message.startswith("exit code 3; last stderr lines:")
+    assert message.endswith("".join(f"\n    line {i}" for i in range(12, 20)))
+    assert "line 11" not in message
+
+
+def _outcome(correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed}
+
+
+def test_failed_run_stops_the_sweep_naming_its_side(tmp_path, monkeypatch, capsys):
+    # A run that failed once ended the sweep with a CalledProcessError traceback that did not
+    # say which side failed.
+    _committed_repo(tmp_path, monkeypatch)
+    calls = []
+
+    def run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        if (checkout.name, seed) == ("base", 2):
+            raise bench_pairs.RunFailed("exit code 1; last stderr lines:\n    boom")
+        return {"ops_per_s": 1.0}, _outcome(), None
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "out.json"
+    argv = ["--base", "HEAD", "--pr", "0", "--pairs", "w:1-3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    # pair 2 runs the change side first; pair 3 never runs
+    assert calls == [("base", 1), ("change", 1), ("change", 2), ("base", 2)]
+    message = "the base run of w seed 2 failed: exit code 1; last stderr lines:\n    boom"
+    assert capsys.readouterr().err == f"bench_pairs: {message}\n"
+    doc = json.loads(out.read_text())
+    assert doc["stopped"] == message
+    assert [pair["seed"] for pair in doc["pairs"]] == [1]
+
+
+def test_wrong_outputs_and_failed_ops_are_flagged(tmp_path, monkeypatch, capsys):
+    _committed_repo(tmp_path, monkeypatch)
+    outcomes = {("base", 1): _outcome(correct=False), ("change", 2): _outcome(failed=3)}
+
+    def run(checkout, workload, seed, seconds):
+        return {"ops_per_s": 1.0}, outcomes.get((checkout.name, seed), _outcome()), None
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "out.json"
+    argv = ["--base", "HEAD", "--pr", "0", "--pairs", "w:1-3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    faults = [pair["faults"] for pair in json.loads(out.read_text())["pairs"]]
+    assert faults == [{"base": "wrong outputs"}, {"change": "3 of 10 ops failed"}, {}]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("; FAULT base: wrong outputs")
+    assert lines[1].endswith("; FAULT change: 3 of 10 ops failed")
+    assert "FAULT" not in lines[2]

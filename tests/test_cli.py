@@ -404,6 +404,14 @@ class TestDiagnosticsAndDeterminism:
         res = run_cli(["gen", "--n", "x", "--seed", "1"])
         assert res.returncode == 1 and res.stdout == "" and "invalid int" in res.stderr
 
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_negative_seed_exits_1_naming_the_flag(self, tmp_path, command):
+        # verify refuses before it reads its input, here a file that does not exist
+        flags = ["--n", "4"] if command == "gen" else ["--in", str(tmp_path / "missing.json")]
+        res = run_cli([command, *flags, "--seed", "-1"])
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == f"unichain {command}: invalid input: --seed must be a non-negative integer, got -1\n"
+
     def test_help_exits_0(self):
         for argv in (["--help"], ["gen", "--help"]):
             res = run_cli(argv)

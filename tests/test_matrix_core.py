@@ -112,6 +112,22 @@ class TestHaarRandom:
         with pytest.raises(DomainError):
             haar_random(0, 1)
 
+    # None once drew an unseeded matrix and True acted as seed 1; -1, 2.5 and "3" raised
+    # numpy's own ValueError or TypeError.
+    @pytest.mark.parametrize("seed", [None, True, False, -1, 2.5, "3", [1, 2]])
+    def test_seed_outside_the_integer_rule_raises(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            haar_random(3, seed)
+
+    @pytest.mark.parametrize("n", [True, "2", 2.0, None])
+    def test_order_outside_the_integer_rule_raises(self, n):
+        with pytest.raises(DomainError, match="matrix order n must be an integer"):
+            haar_random(n, 1)
+
+    def test_numpy_integers_pass(self):
+        x = haar_random(np.int64(3), np.uint32(5))
+        assert x.tobytes() == haar_random(3, 5).tobytes()
+
 
 class TestWrapAngle:
     @settings(max_examples=200, deadline=None)

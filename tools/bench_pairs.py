@@ -14,7 +14,10 @@ first.  ``BENCH_<pr>.json`` at the repository root (or ``--out``) lists
 every run's end-to-end metrics and, per workload and metric, each side's
 median and quartiles and the change's wins, losses and ties over the
 pairs, judged by the metric's ``better`` direction in ``BENCHMARK.json``.  The file is rewritten after
-every pair, so an interrupted sweep keeps the pairs it finished.
+every pair, so an interrupted sweep keeps the pairs it finished.  A run that exits non-zero
+stops the sweep (exit code 1) with one message, also stored as ``stopped``, naming its side,
+workload and seed, its exit code and the last lines of its stderr.  A run with wrong outputs
+or failed ops is kept, and flagged in the pair's ``faults`` and its printed line.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ["bench/run.py", "--trace", "0"]
+#: How many of a failed run's last stderr lines its message quotes.
+STDERR_LINES = 8
 
 
 def seeds_of(spec: str) -> list:
@@ -81,18 +86,34 @@ def summarize(pairs: list, better: dict) -> dict:
     return summary
 
 
+class RunFailed(Exception):
+    """A ``bench/run.py`` run exited non-zero."""
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     """One ``bench/run.py`` run in *checkout*: its metric values, its outcome counts and the
-    machine it reports."""
+    machine it reports.  A run that exits non-zero raises :class:`RunFailed` with its exit
+    code and the last lines of its stderr."""
     cmd = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    lines = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                           check=True).stdout.splitlines()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "".join(f"\n    {line}" for line in proc.stderr.splitlines()[-STDERR_LINES:])
+        raise RunFailed(f"exit code {proc.returncode}; last stderr lines:{tail or ' (none)'}")
+    lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result.pop("metrics").items()}
     machine = next((json.loads(line[len("# machine "):]) for line in lines
                     if line.startswith("# machine ")), None)
     return metrics, result, machine
+
+
+def fault(outcome: dict) -> str | None:
+    """What a run's outcome counts show wrong: wrong outputs or failed ops; None if neither."""
+    faults = [] if outcome["correct"] else ["wrong outputs"]
+    if outcome["failed"]:
+        faults.append(f"{outcome['failed']} of {outcome['attempted']} ops failed")
+    return ", ".join(faults) or None
 
 
 def export(ref: str, dest: Path) -> str:
@@ -154,19 +175,30 @@ def main(argv=None) -> int:
         for i, (workload, seed) in enumerate(jobs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             checkout = {"base": base_dir, "change": change_dir}
-            runs = {side: run(checkout[side], workload, seed, args.seconds) for side in order}
+            runs = {}
+            for side in order:
+                try:
+                    runs[side] = run(checkout[side], workload, seed, args.seconds)
+                except RunFailed as exc:
+                    doc["stopped"] = f"the {side} run of {workload} seed {seed} failed: {exc}"
+                    out.write_text(json.dumps(doc, indent=2) + "\n")
+                    print(f"bench_pairs: {doc['stopped']}", file=sys.stderr)
+                    return 1
             base, change = runs["base"][0], runs["change"][0]
+            faults = {side: text for side in ("base", "change") if (text := fault(runs[side][1]))}
             doc["pairs"].append({
                 "workload": workload, "seed": seed, "first": order[0],
                 "base": base, "change": change,
                 "outcomes": {side: runs[side][1] for side in ("base", "change")},
+                "faults": faults,
             })
             doc.setdefault("machine", runs["base"][2])
             doc["summary"] = summarize(doc["pairs"], better)
             out.write_text(json.dumps(doc, indent=2) + "\n")
             print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{name} {base[name]:.4g} -> {change[name]:.4g}"
-                for name in doc["summary"][workload]), flush=True)
+                for name in doc["summary"][workload]) + "".join(
+                f"; FAULT {side}: {text}" for side, text in faults.items()), flush=True)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
