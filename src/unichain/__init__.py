@@ -6,11 +6,15 @@ invariants built on top of it (plaquettes, panel lattice, closed forms,
 zero textures, unitarity-triangle areas) and the palindromic construction
 of manifestly symmetric unitaries.
 
-Importing the package runs none of its modules: each public name, and each
-module name, imports its module when it is first read (PEP 562).
+Importing the package runs none of its modules.  Reading a module name such as
+``unichain.invariants`` gives the module: the one already imported, or else one whose
+body runs on its first attribute read; a public name is read from its module (PEP 562).
+The modules reach each other this way (``from . import recursive_param as rp``), so
+each runs only once something in it is used.
 """
 
-import importlib
+import importlib.util
+import sys
 
 #: Each module of the package and the public names it exports here.
 _EXPORTS = {
@@ -48,7 +52,13 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name, name if name in _EXPORTS else None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module(f"{__name__}.{module}")
+    fullname = f"{__name__}.{module}"
+    value = sys.modules.get(fullname)
+    if value is None:  # the importlib.util.LazyLoader recipe
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        value = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(value)
     if module != name:
         value = getattr(value, name)
     globals()[name] = value  # later reads skip this function

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import json
 import os
 import sys
@@ -32,27 +31,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import matrix_core as mc
-
-
-def _lazy_layer(name: str):
-    """The module ``unichain.<name>``: the imported one if there is one, else one whose body
-    runs on its first attribute read (the ``importlib.util.LazyLoader`` recipe)."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:  # one module object per layer, so its classes are the same
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# A command runs the layers it reads and no other: ``gen`` none of these, ``decompose`` rp.
-rp = _lazy_layer("recursive_param")
-inv = _lazy_layer("invariants")
-sym = _lazy_layer("symmetric")
+# A command runs the layers it reads and no other: ``gen`` none of rp, inv and sym.
+from . import invariants as inv, matrix_core as mc, recursive_param as rp, symmetric as sym
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1

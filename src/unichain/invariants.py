@@ -21,30 +21,23 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from . import recursive_param as rp
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_UNITARITY_TOL,
     DomainError,
     PreconditionError,
     _is_int,
+    finite_real,
     require_square,
     require_unitary,
     wrap_angle,
-)
-from .recursive_param import (
-    ASCENDING,
-    Decomposition,
-    _peel,
-    gauge_fix,
-    infer_order,
-    reorder_chain,
 )
 
 #: Smallest modulus a matrix element may have to divide the panel relations.
@@ -287,14 +280,14 @@ class OmegaSet:
     omegas: tuple
 
 
-def _ascending_chars(d: Decomposition) -> np.ndarray:
+def _ascending_chars(d: rp.Decomposition) -> np.ndarray:
     """The vector array of an ascending chain: column k - 2 holds the order-k vector."""
-    if infer_order(d.orders.tolist()) != ASCENDING:
+    if rp.infer_order(d.orders.tolist()) != rp.ASCENDING:
         raise DomainError("expected an ascending chain")
     return d.chars
 
 
-def omega_from_params(d: Decomposition) -> OmegaSet:
+def omega_from_params(d: rp.Decomposition) -> OmegaSet:
     """Assemble the invariant phases from component arguments.
 
     With arg[i, k-2] the argument of component i+1 of the order-k vector,
@@ -315,7 +308,7 @@ def omega_from_params(d: Decomposition) -> OmegaSet:
     return OmegaSet(n=n, omegas=tuple(wrap_angle(w) for w in omegas))
 
 
-def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
+def apply_symmetry(d: rp.Decomposition, which: str, phase: float) -> rp.Decomposition:
     """Transform chain parameters by one of the rephasing symmetries.
 
     S_i, with k = i + 2, multiplies the order-k vector by e^{i phase} and
@@ -327,21 +320,16 @@ def apply_symmetry(d: Decomposition, which: str, phase: float) -> Decomposition:
     names = [f"S{k - 2}" for k in range(3, n + 1)]
     if which not in names:
         raise DomainError(f"unsupported symmetry {which!r} for n={n}")
-    if isinstance(phase, bool) or not isinstance(phase, numbers.Real):
-        raise DomainError(f"symmetry phase must be a real number, got {phase!r}")
-    try:
-        if not math.isfinite(phase):
-            raise DomainError(f"symmetry phase must be finite, got {phase}")
-    except OverflowError:  # an integer beyond the float range
-        raise DomainError("symmetry phase must be finite, got a huge integer") from None
+    rot = np.exp(1j * finite_real(phase, "symmetry phase"))
     k = names.index(which) + 3
     chars = np.asfortranarray(np.triu(_ascending_chars(d)))  # gauge_fix may pad with -0.0
-    rot = np.exp(1j * phase)
     chars[: k - 1, k - 2] *= rot
     chars[k - 1 : k, k - 1 :] /= rot  # row k - 1 is absent for the top order k = n
     # Unit-phase multiplication preserves the norm to machine precision,
     # so the vectors are not renormalised.
-    return Decomposition._of(n, d.orders, d.thetas, chars, d.left_phases, d.right_phases, d.order)
+    return rp.Decomposition._of(
+        n, d.orders, d.thetas, chars, d.left_phases, d.right_phases, d.order
+    )
 
 
 # --- panel lattice and the six unitarity relations (n = 4) ------------------
@@ -481,7 +469,7 @@ def basis_solve_n4(x) -> dict:
 # --- closed forms from the chain parameters ---------------------------------
 
 
-def _require_pinned_order2(d: Decomposition) -> np.ndarray:
+def _require_pinned_order2(d: rp.Decomposition) -> np.ndarray:
     """The vector array of an ascending chain whose order-2 scalar is 1 within
     ``PINNED_SCALAR_TOL``."""
     chars = _ascending_chars(d)
@@ -493,7 +481,7 @@ def _require_pinned_order2(d: Decomposition) -> np.ndarray:
     return chars
 
 
-def closed_form_j_n3(d: Decomposition) -> float:
+def closed_form_j_n3(d: rp.Decomposition) -> float:
     """The unique invariant of a 3-by-3 chain: c2 c3 s2 s3^2 Im(conj(x1) x2)."""
     if d.ambient_n != 3:
         raise DomainError(f"expected n=3, got n={d.ambient_n}")
@@ -503,7 +491,7 @@ def closed_form_j_n3(d: Decomposition) -> float:
     return float(scale * (np.conj(x[0]) * x[1]).imag)
 
 
-def closed_forms_n4(d: Decomposition) -> tuple:
+def closed_forms_n4(d: rp.Decomposition) -> tuple:
     """Closed forms for the (34,34) and (34,24) invariants of an n=4 chain.
 
     Only moduli of the characteristic components and the omega phases
@@ -695,7 +683,7 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
     # Closed forms: relabel rows/cols 1 <-> 3 so the zeros move to (3,4)/(4,3),
     # then peel into an ascending canonical chain.
     calc = std[np.ix_((2, 1, 0, 3), (2, 1, 0, 3))]
-    chain = gauge_fix(reorder_chain(_peel(calc, DEFAULT_UNITARITY_TOL), range(2, 5)))
+    chain = rp.gauge_fix(rp.reorder_chain(rp._peel(calc, DEFAULT_UNITARITY_TOL), range(2, 5)))
     t2, t3, t4 = chain.thetas.tolist()
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)

@@ -167,6 +167,21 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def finite_real(value, what: str) -> float:
+    """*value* as a float: a bool, a non-real, a non-finite value or an integer beyond the float
+    range is a :class:`DomainError` naming *what*.  The package's rule for angles and phases."""
+    if not isinstance(value, float):  # numpy.float64 is a float
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{what} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"{what} must be finite, got a huge integer") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+    return float(value)
+
+
 def json_int(value, what: str) -> int:
     """An integer field of a JSON document; a bool, float or string is a :class:`StructureError`."""
     if not _is_int(value):

@@ -45,6 +45,7 @@ from .matrix_core import (
     _is_int,
     complex_from_pairs,
     complex_to_pairs,
+    finite_real,
     json_float,
     json_floats,
     json_int,
@@ -130,8 +131,7 @@ class Factor:
             raise DomainError(f"ambient dimension must be >= 2, got {n}")
         if not (2 <= k <= n):
             raise DomainError(f"factor order must satisfy 2 <= k <= n, got k={k}, n={n}")
-        if not math.isfinite(self.theta):
-            raise DomainError("theta must be finite")
+        object.__setattr__(self, "theta", finite_real(self.theta, "theta"))
         v = _as_char(self.char, k)
         v.setflags(write=False)
         object.__setattr__(self, "char", v)

@@ -132,9 +132,9 @@ class TestEachCommandRunsItsLayers:
         (["compose", "--in", "chain.json"], [_RP]),
         (["compose", "--in", "symmetric.json"], [_RP, _SYM]),
         (["symmetric", "--in", "symmetric.json"], [_RP, _SYM]),
-        (["invariants", "--in", "matrix.json"], [_RP, _INV]),
+        (["invariants", "--in", "matrix.json"], [_INV]),
         (["invariants", "--in", "chain.json"], [_RP, _INV]),
-        (["panel", "--in", "matrix.json"], [_RP, _INV]),
+        (["panel", "--in", "matrix.json"], [_INV]),
         (["zerotexture", "--in", "texture.json"], [_RP, _INV]),
         (["verify", "--in", "matrix.json"], [_RP, _INV]),
     ], ids=["gen", "decompose", "reorder", "compose-chain", "compose-symmetric", "symmetric",
@@ -143,6 +143,27 @@ class TestEachCommandRunsItsLayers:
         res = _child(_RUN_ONE_COMMAND, *argv, "--out", "out.json", cwd=documents)
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout.splitlines()[-1]) == [0, ran]
+
+    @pytest.mark.parametrize("function, document, ran", [
+        ("plaquette_table", "matrix.json", False),
+        ("panel_lattice", "matrix.json", False),
+        ("zero_texture_analysis", "texture.json", True),
+    ])
+    def test_invariants_of_a_matrix_run_the_chain_layer_only_when_they_peel(
+        self, documents, function, document, ran
+    ):
+        res = _child(
+            "import json, sys\n"
+            "from unichain import invariants, matrix_core\n"
+            "with open(sys.argv[2]) as fh:\n"
+            "    x = matrix_core.matrix_from_json_dict(json.load(fh))\n"
+            "getattr(invariants, sys.argv[1])(x)\n"
+            "rp = sys.modules['unichain.recursive_param']\n"
+            "print('__builtins__' in object.__getattribute__(rp, '__dict__'))\n",
+            function, document, cwd=documents,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [str(ran)]
 
     def test_refusal_inside_a_lazily_run_layer_exits_1_with_one_line(self, documents):
         # the order-4 matrix passes cli's checks; rp.decompose refuses it

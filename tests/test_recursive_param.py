@@ -200,6 +200,24 @@ class TestEmbed:
         f = Factor(np.int64(3), np.int32(3), 0.4, [1.0, 0.0])
         assert (f.ambient_n, f.order_k) == (3, 3)
 
+    @pytest.mark.parametrize("theta, message", [
+        (True, "theta must be a real number"),
+        ("0.5", "theta must be a real number"),
+        (0.5j, "theta must be a real number"),
+        (None, "theta must be a real number"),
+        (math.inf, "theta must be finite, got inf"),
+        (np.float64("nan"), "theta must be finite, got nan"),
+        (-(10**400), "theta must be finite, got a huge integer"),
+    ], ids=["bool", "string", "complex", "none", "inf", "nan", "huge-int"])
+    def test_angle_outside_the_finite_real_rule_rejected(self, theta, message):
+        with pytest.raises(DomainError, match=message):
+            Factor(3, 2, theta, [1.0])
+
+    def test_integer_and_numpy_angles_are_stored_as_floats(self):
+        for theta in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+            f = Factor(3, 2, theta, [1.0])
+            assert type(f.theta) is float and f.theta == 1.0
+
 
 class TestApplyFactor:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -138,11 +138,11 @@ class TestComposeSymmetric:
 class TestComposeSymmetricKernel:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_in_place_onto_one_array_with_each_vector_formed_once(self, n, monkeypatch):
-        import unichain.symmetric as sym
+        import unichain.recursive_param as rp
 
         calls = []
-        kernel = sym._apply_block
-        monkeypatch.setattr(sym, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
+        kernel = rp._apply_block
+        monkeypatch.setattr(rp, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
         p = random_params(np.random.Generator(np.random.PCG64(80 + n)), n)
         v = compose_symmetric(p)
         assert len(calls) == 2 * n - 3
@@ -282,6 +282,24 @@ class TestSymmetricParamsValidation:
     def test_rejects_non_integer_order(self, n):
         with pytest.raises(DomainError, match="order must be an integer"):
             SymmetricParams(n, (0.1, 0.2), ([1.0], [0.6, 0.8]))
+
+    @pytest.mark.parametrize("thetas, message", [
+        ((True, 0.2), "theta_2 must be a real number"),
+        (("1", "2"), "theta_2 must be a real number"),
+        ((0.1, 0.2j), "theta_3 must be a real number"),
+        ((math.nan, 0.2), "theta_2 must be finite, got nan"),
+        ((0.1, -math.inf), "theta_3 must be finite, got -inf"),
+        ((0.1, 10**400), "theta_3 must be finite, got a huge integer"),
+    ], ids=["bool", "strings", "complex", "nan", "-inf", "huge-int"])
+    def test_angles_outside_the_finite_real_rule_rejected(self, thetas, message):
+        with pytest.raises(DomainError, match=message):
+            SymmetricParams(3, thetas, ([1.0], [0.6, 0.8]))
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, np.bool_(True)],
+                             ids=["string-false", "string-true", "0", "1", "none", "numpy-bool"])
+    def test_half_angle_must_be_a_bool(self, value):
+        with pytest.raises(DomainError, match="half_angle must be a bool"):
+            SymmetricParams(3, (0.1, 0.2), ([1.0], [0.6, 0.8]), half_angle=value)
 
     def test_vectors_checked_in_one_pass_are_read_only_copies(self):
         rng = np.random.Generator(np.random.PCG64(4))
