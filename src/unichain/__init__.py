@@ -9,12 +9,33 @@ of manifestly symmetric unitaries.
 Importing the package runs none of its modules.  Reading a module name such as
 ``unichain.invariants`` gives the module: the one already imported, or else one whose
 body runs on its first attribute read; a public name is read from its module (PEP 562).
-The modules reach each other this way (``from . import recursive_param as rp``), so
-each runs only once something in it is used.
+``cli`` and ``invariants`` reach other modules this way (``from . import recursive_param as
+rp``), so each runs only once something in it is used.  A thread that reads a module while
+another thread runs its body waits for the run to end.
 """
 
 import importlib.util
 import sys
+import threading
+import types
+
+#: Held while the hook registers a module and while a lazy module's body runs: each module is
+#: made and run once, and a thread that reads a module another thread is running waits for it.
+_LOCK = threading.RLock()
+
+
+class _LazyModule(types.ModuleType):
+    """A module whose body runs on its first attribute read."""
+
+    def __getattribute__(self, attr):
+        read = types.ModuleType.__getattribute__
+        with _LOCK:  # exec adds __builtins__ before the body runs, so reads inside the run pass
+            if type(self) is _LazyModule and "__builtins__" not in read(self, "__dict__"):
+                spec = read(self, "__spec__")
+                exec(spec.loader.get_code(spec.name), read(self, "__dict__"))
+                self.__class__ = types.ModuleType  # later reads skip this method
+        return read(self, attr)
+
 
 #: Each module of the package and the public names it exports here.
 _EXPORTS = {
@@ -53,12 +74,14 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     fullname = f"{__name__}.{module}"
-    value = sys.modules.get(fullname)
-    if value is None:  # the importlib.util.LazyLoader recipe
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        value = sys.modules[fullname] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(value)
+    with _LOCK:
+        value = sys.modules.get(fullname)
+        if value is None:
+            spec = importlib.util.find_spec(fullname)
+            value = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+            value.__class__ = _LazyModule
+    if type(value) is not _LazyModule:  # waits for an import another thread is running
+        value = importlib.import_module(fullname)
     if module != name:
         value = getattr(value, name)
     globals()[name] = value  # later reads skip this function

@@ -170,16 +170,15 @@ def _is_int(value) -> bool:
 def finite_real(value, what: str) -> float:
     """*value* as a float: a bool, a non-real, a non-finite value or an integer beyond the float
     range is a :class:`DomainError` naming *what*.  The package's rule for angles and phases."""
-    if not isinstance(value, float):  # numpy.float64 is a float
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{what} must be a real number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise DomainError(f"{what} must be finite, got a huge integer") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"{what} must be finite, got a huge integer") from None
     if not math.isfinite(value):
         raise DomainError(f"{what} must be finite, got {value}")
-    return float(value)
+    return value
 
 
 def json_int(value, what: str) -> int:

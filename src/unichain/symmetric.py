@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import recursive_param as rp
 from .matrix_core import DomainError, StructureError, _is_int, finite_real, json_floats, json_int
+from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
 def sym_param_count(n: int) -> int:
@@ -95,9 +95,9 @@ def _real_chars(chars: tuple) -> tuple:
             if v.size != i + 1:
                 raise DomainError("characteristic vector length")
             packed[i, : i + 1] = v
-        rp._check_units(packed.T)
+        _check_units(packed.T)
     except (OverflowError, TypeError, ValueError):  # DomainError is a ValueError
-        vectors = tuple(rp._as_char(xs, k, float) for k, xs in enumerate(chars, start=2))
+        vectors = tuple(_as_char(xs, k, float) for k, xs in enumerate(chars, start=2))
     else:
         packed.setflags(write=False)
         vectors = tuple(packed[i, : i + 1] for i in range(m))
@@ -108,7 +108,7 @@ def _real_chars(chars: tuple) -> tuple:
 
 def sym_factor(k: int, theta: float, xs, n: int) -> np.ndarray:
     """Embedded symmetric factor of order k: char = i * xs, xs real unit."""
-    return rp.embed(rp.Factor(n, k, theta, 1j * rp._as_char(xs, k, float)))
+    return embed(Factor(n, k, theta, 1j * _as_char(xs, k, float)))
 
 
 def compose_symmetric(p: SymmetricParams) -> np.ndarray:
@@ -127,7 +127,7 @@ def compose_symmetric(p: SymmetricParams) -> np.ndarray:
     v = np.eye(n, dtype=np.complex128)
     for k in (*range(2, n + 1), *range(n - 1, 1, -1)):
         theta = p.theta(k) if k == n else scale * p.theta(k)
-        rp._apply_block(theta, chars[k - 2], conjs[k - 2], v)
+        _apply_block(theta, chars[k - 2], conjs[k - 2], v)
     return v
 
 
@@ -138,7 +138,7 @@ def v3sym_closed(theta2: float, theta3: float, xs) -> np.ndarray:
     i sin(t2/2) x1 (unit vector u), the product collapses to a single
     displayed matrix in u.
     """
-    xs = rp._as_char(xs, 3, float)
+    xs = _as_char(xs, 3, float)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
     cp, sp = math.cos(theta2 / 2), math.sin(theta2 / 2)
@@ -161,7 +161,7 @@ def a4prime(theta2: float, theta4: float, ys) -> np.ndarray:
     v1 = cos(t2/2) y1 - i sin(t2/2) y2, v2 = cos(t2/2) y2 - i sin(t2/2) y1
     while v3 = y3 is untouched; v keeps unit norm.
     """
-    ys = rp._as_char(ys, 4, float)
+    ys = _as_char(ys, 4, float)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c4, s4 = math.cos(theta4), math.sin(theta4)
     cp, sp = math.cos(theta2 / 2), math.sin(theta2 / 2)
@@ -182,7 +182,7 @@ def a4prime(theta2: float, theta4: float, ys) -> np.ndarray:
 
 def j_sym_n3(theta2: float, theta3: float, xs) -> float:
     """Invariant phase of the symmetric 3-by-3: c2 c3 s2 s3^2 x1 x2."""
-    xs = rp._as_char(xs, 3, float)
+    xs = _as_char(xs, 3, float)
     return float(
         math.cos(theta2)
         * math.cos(theta3)

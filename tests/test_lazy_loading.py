@@ -196,3 +196,47 @@ class TestEachCommandRunsItsLayers:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == ["True True True"]
+
+
+# Eight threads behind a barrier make the first read of one name; the child then prints the
+# errors they met, how many distinct objects they read, and whether that object is the one
+# the module in ``sys.modules`` holds.
+_FIRST_READ_IN_THREADS = """\
+import sys, threading
+import unichain
+sys.setswitchinterval(1e-6)
+{before}
+barrier = threading.Barrier(8)
+seen, errors = [], []
+
+def first_read():
+    barrier.wait()
+    try:
+        seen.append({read})
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=first_read) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(errors, len({{id(x) for x in seen}}), seen[0] is sys.modules[{module!r}].{name})
+"""
+
+
+class TestFirstReadsInThreads:
+    @pytest.mark.parametrize("before, read, module", [
+        ("", "unichain.decompose", "recursive_param"),
+        ("inv = unichain.invariants", "inv.zero_texture_analysis", "invariants"),
+        ("from unichain import invariants as inv\ninv.plaquette_table", "inv.rp.gauge_fix",
+         "recursive_param"),
+    ], ids=["public-name", "lazy-module", "layer-inside-a-layer"])
+    def test_one_module_object_and_no_half_run_module(self, before, read, module):
+        name = read.rsplit(".", 1)[1]
+        code = _FIRST_READ_IN_THREADS.format(before=before, read=read,
+                                             module=f"unichain.{module}", name=name)
+        for _ in range(3):
+            res = _child(code)
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.splitlines() == ["[] 1 True"]

@@ -138,11 +138,11 @@ class TestComposeSymmetric:
 class TestComposeSymmetricKernel:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_in_place_onto_one_array_with_each_vector_formed_once(self, n, monkeypatch):
-        import unichain.recursive_param as rp
+        import unichain.symmetric as sym
 
         calls = []
-        kernel = rp._apply_block
-        monkeypatch.setattr(rp, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
+        kernel = sym._apply_block
+        monkeypatch.setattr(sym, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
         p = random_params(np.random.Generator(np.random.PCG64(80 + n)), n)
         v = compose_symmetric(p)
         assert len(calls) == 2 * n - 3
