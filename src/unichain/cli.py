@@ -29,10 +29,14 @@ import sys
 from collections.abc import Iterator
 from itertools import combinations
 
-import numpy as np
-
-# A command runs the layers it reads and no other: ``gen`` none of rp, inv and sym.
+# A command runs the layers it reads and no other: ``gen`` none of rp, inv and sym.  Its flags,
+# its JSON and the shape of its document are checked first, by the rules of ``_rules``, so such
+# a refusal never loads numpy.
 from . import invariants as inv, matrix_core as mc, recursive_param as rp, symmetric as sym
+from ._rules import (
+    DEFAULT_UNITARITY_TOL, ConsistencyError, DomainError, StructureError, _require_table_order,
+    matrix_document, tolerance,
+)
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
@@ -107,6 +111,8 @@ def _texts(values, depth: int) -> list:
 
 
 def _read_json(path: str):
+    """The parsed JSON document at *path*, "-" for stdin.  Commands read it before they touch a
+    layer: ``rp.f(_read_json(path))`` would load ``rp``, and numpy, before the read."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -114,15 +120,24 @@ def _read_json(path: str):
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise mc.StructureError(f"cannot read {path!r}: {exc}") from exc
+        raise StructureError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise mc.StructureError(
+        raise StructureError(
             f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:
-        raise mc.StructureError(f"JSON in {path!r} is nested too deeply") from None
+        raise StructureError(f"JSON in {path!r} is nested too deeply") from None
+
+
+def _matrix(obj, table: bool = False):
+    """The matrix of the document *obj*, decoded once its shape and, with *table*, its order
+    against the plaquette-table cap have passed: those refusals come before numpy loads."""
+    n, _ = matrix_document(obj)
+    if table:
+        _require_table_order(n)  # refused before the O(n^3) checks and tables
+    return mc.matrix_from_json_dict(obj)
 
 
 @contextlib.contextmanager
@@ -140,7 +155,7 @@ def _output(path: str):
         if fh is not None and os.path.isfile(path):  # opened, so truncated: nothing to keep
             os.remove(path)
         if isinstance(exc, OSError):
-            raise mc.StructureError(f"cannot write {path!r}: {exc}") from exc
+            raise StructureError(f"cannot write {path!r}: {exc}") from exc
         raise
 
 
@@ -154,7 +169,7 @@ def _emit_json(path: str, payload):
 
 def _matrix_csv(x) -> str:
     lines = []
-    for row in np.asarray(x, dtype=np.complex128):
+    for row in x:
         lines.append(",".join(repr(complex(z)) for z in row))
     return "\n".join(lines) + "\n"
 
@@ -173,7 +188,7 @@ def _detect_params(obj):
         return rp.decomposition_from_json_dict(obj)
     if isinstance(obj, dict) and "thetas" in obj:
         return sym.symmetric_params_from_json_dict(obj)
-    raise mc.StructureError(
+    raise StructureError(
         "input is neither a decomposition (no 'factors' key) nor "
         "symmetric parameters (no 'thetas' key)"
     )
@@ -211,12 +226,12 @@ def _area_items(areas: list):
 
 def _require_seed(seed: int):
     if seed < 0:
-        raise mc.DomainError(f"--seed must be a non-negative integer, got {seed}")
+        raise DomainError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _cmd_gen(args) -> int:
     if args.n > MAX_GEN_N:
-        raise mc.DomainError(f"matrix order {args.n} exceeds the cap {MAX_GEN_N}")
+        raise DomainError(f"matrix order {args.n} exceeds the cap {MAX_GEN_N}")
     _require_seed(args.seed)
     x = mc.haar_random(args.n, args.seed)
     _emit_matrix(args.out, x, args.format)
@@ -235,10 +250,11 @@ def _cmd_compose(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.gauge == "canonical" and args.order == "desc":
-        raise mc.DomainError(
+        raise DomainError(
             "canonical gauge is defined on ascending chains; use --order asc"
         )
-    x = mc.matrix_from_json_dict(_read_json(args.infile))
+    tolerance(args.tol, "--tol")
+    x = _matrix(_read_json(args.infile))
     d = rp.decompose(x, tol=args.tol)
     if args.order == "asc":
         d = rp.reorder_chain(d, range(2, d.ambient_n + 1))
@@ -249,11 +265,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reorder(args) -> int:
-    d = rp.decomposition_from_json_dict(_read_json(args.infile))
     try:
         target = [int(tok) for tok in args.target.split(",")]
     except ValueError as exc:
-        raise mc.DomainError(f"--target must be comma-separated integers: {exc}") from exc
+        raise DomainError(f"--target must be comma-separated integers: {exc}") from exc
+    obj = _read_json(args.infile)
+    d = rp.decomposition_from_json_dict(obj)
     _emit_json(args.out, rp.decomposition_to_json_dict(rp.reorder_chain(d, target)))
     return _EXIT_OK
 
@@ -262,13 +279,12 @@ def _cmd_invariants(args) -> int:
     obj = _read_json(args.infile)
     omegas = {}
     if isinstance(obj, dict) and "entries" in obj:
-        x = mc.matrix_from_json_dict(obj)
-        inv._require_table_order(x.shape[0])  # refused before the O(n^3) checks and tables
+        x = _matrix(obj, table=True)
     else:
         d = _detect_params(obj)
         if not isinstance(d, rp.Decomposition):
-            raise mc.DomainError("invariants expects a matrix or a decomposition")
-        inv._require_table_order(d.ambient_n)
+            raise DomainError("invariants expects a matrix or a decomposition")
+        _require_table_order(d.ambient_n)
         x = rp.compose(d)
         if rp.infer_order(d.orders.tolist()) == rp.ASCENDING:
             omegas = {"omegas": list(inv.omega_from_params(d).omegas)}
@@ -284,7 +300,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    x = mc.matrix_from_json_dict(_read_json(args.infile))
+    x = _matrix(_read_json(args.infile))
     lat = inv.panel_lattice(x)
     payload = {
         "n": lat.n,
@@ -304,7 +320,8 @@ def _cmd_panel(args) -> int:
 
 
 def _cmd_zerotexture(args) -> int:
-    x = mc.matrix_from_json_dict(_read_json(args.infile))
+    tolerance(args.tol, "--tol")
+    x = _matrix(_read_json(args.infile))
     rep = inv.zero_texture_analysis(x, tol=args.tol)
     payload = {
         "J": rep.J,
@@ -328,7 +345,8 @@ def _cmd_zerotexture(args) -> int:
 
 
 def _cmd_symmetric(args) -> int:
-    params = sym.symmetric_params_from_json_dict(_read_json(args.infile))
+    obj = _read_json(args.infile)
+    params = sym.symmetric_params_from_json_dict(obj)
     x = sym.compose_symmetric(params)
     sym_residual = mc.max_abs_diff(x, x.T)
     uni_residual = mc.unitarity_defect(x)
@@ -350,22 +368,24 @@ def _cmd_symmetric(args) -> int:
     return _EXIT_OK
 
 
-def _verify_checks(x: np.ndarray, tol: float, seed: int) -> list:
+def _verify_checks(x, tol: float, seed: int) -> list:
     """Run the identity suite on one unitary; returns check records."""
     defect = mc.unitarity_defect(x)
     # Nothing past a failed gate is defined; the invariant relations are checked only on a
     # matrix the public invariant functions admit, a defect within the default tolerance.
-    rest = _identities(x, tol, seed, defect <= mc.DEFAULT_UNITARITY_TOL) if defect <= tol else ()
+    rest = _identities(x, tol, seed, defect <= DEFAULT_UNITARITY_TOL) if defect <= tol else ()
     return [
         {"name": name, "residual": float(r), "tolerance": float(t), "ok": bool(r <= t)}
         for name, r, t in (("unitarity", defect, tol), *rest)
     ]
 
 
-def _identities(x: np.ndarray, tol: float, seed: int, admitted: bool) -> Iterator:
+def _identities(x, tol: float, seed: int, admitted: bool) -> Iterator:
     """(name, residual, tolerance) of each identity check on *x*, whose defect is within
     *tol*.  The checks run private kernels, which do not check *x* again; only
     ``inv.basis_solve_n4`` at n = 4 does."""
+    import numpy as np  # x is an array: numpy is loaded
+
     n = x.shape[0]
     # The plaquette tables of x and of a rephasing of it are compared a block of row pairs at
     # a time, neither held whole.
@@ -419,9 +439,9 @@ def _identities(x: np.ndarray, tol: float, seed: int, admitted: bool) -> Iterato
 
 
 def _cmd_verify(args) -> int:
-    _require_seed(args.seed)  # refused before the input is read
-    x = mc.matrix_from_json_dict(_read_json(args.infile))
-    inv._require_table_order(x.shape[0])  # refused before the unitarity check and the tables
+    _require_seed(args.seed)  # the flags are refused before the input is read
+    tolerance(args.tol, "--tol")
+    x = _matrix(_read_json(args.infile), table=True)
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)
     max_residual = max(c["residual"] for c in checks)
     ok = all(c["ok"] for c in checks)
@@ -475,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("decompose", help="peel a unitary matrix into chain parameters")
     _add_io(p)
-    p.add_argument("--tol", type=float, default=mc.DEFAULT_UNITARITY_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_UNITARITY_TOL)
     p.add_argument("--order", choices=("asc", "desc"), default="desc")
     p.add_argument("--gauge", choices=("canonical", "raw"), default="raw")
     p.set_defaults(func=_cmd_decompose)
@@ -504,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the identity suite on a matrix")
     _add_io(p)
-    p.add_argument("--tol", type=float, default=mc.DEFAULT_UNITARITY_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_UNITARITY_TOL)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomised spot checks")
     p.set_defaults(func=_cmd_verify)
 
@@ -521,7 +541,7 @@ def main(argv=None) -> int:
     except ToleranceBreach as exc:
         print(f"unichain {args.command}: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
-    except mc.ConsistencyError as exc:
+    except ConsistencyError as exc:
         print(f"unichain {args.command}: numeric consistency failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except ValueError as exc:

@@ -28,6 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from . import recursive_param as rp
+from ._rules import MAX_TABLE_ENTRIES, _require_table_order  # noqa: F401  (exported here)
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_UNITARITY_TOL,
@@ -37,6 +38,7 @@ from .matrix_core import (
     finite_real,
     require_square,
     require_unitary,
+    tolerance,
     wrap_angle,
 )
 
@@ -48,8 +50,6 @@ RELATION_COND_LIMIT = 1e12
 TEXTURE_VANISH_TOL = 1e-10
 #: Largest |order-2 scalar - 1| of a chain the closed forms accept as pinned to 1.
 PINNED_SCALAR_TOL = 1e-9
-#: Most entries a plaquette table may have: the n = 64 table, 2016^2 entries (62 MB).
-MAX_TABLE_ENTRIES = 2016**2
 #: Most entries one block of the plaquette-table and polygon-area kernels computes at once:
 #: small orders take one block, and every temporary of a block stays within 64 KB.
 _BLOCK_ENTRIES = 8192
@@ -176,13 +176,6 @@ def _table_blocks(n: int) -> tuple:
     step = max(1, _BLOCK_ENTRIES // max(j.size, 1))
     offsets = np.arange(min(step, j.size))[:, None] * n
     return (step, *_read_only(np.arange(n - 1, -1, -1), offsets + k))
-
-
-def _require_table_order(n: int) -> None:
-    """Refuse an order n whose m^2 plaquettes, m = n(n-1)/2, are over ``MAX_TABLE_ENTRIES``."""
-    m = n * (n - 1) // 2
-    if m * m > MAX_TABLE_ENTRIES:
-        raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
 
 
 def _table_rows(x: np.ndarray) -> Iterator:
@@ -649,8 +642,9 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
 
     whence J'/J = -s4^2/s3^2.  Entries at most *tol* in modulus count as
     zeros; ``vanishing_count`` counts the imaginary parts at most
-    ``TEXTURE_VANISH_TOL``.
+    ``TEXTURE_VANISH_TOL``.  *tol* is a finite real >= 0.
     """
+    tol = tolerance(tol, "tol")
     x = require_square(x)
     if x.shape[0] != 4:  # refused before the unitarity check
         raise DomainError(f"zero-texture analysis is specific to n=4, got n={x.shape[0]}")

@@ -9,7 +9,9 @@ this library targets.
 
 Matrix arguments are validated by :func:`require_square` or
 :func:`require_unitary`; module-wide tolerances are
-``DEFAULT_UNITARITY_TOL`` (1e-10) and ``DEFAULT_EQUALITY_TOL`` (1e-12).
+``DEFAULT_UNITARITY_TOL`` (1e-10) and ``DEFAULT_EQUALITY_TOL`` (1e-12).  These, the
+exception classes and the number rules for scalars are defined in the numpy-free ``_rules``
+and exported from here; array arguments follow the same rule through :func:`number_array`.
 All functions are pure; random sampling takes a mandatory seed and owns
 its generator, so results are reproducible bit for bit.
 """
@@ -21,30 +23,35 @@ import numbers
 
 import numpy as np
 
-DEFAULT_UNITARITY_TOL = 1e-10
-DEFAULT_EQUALITY_TOL = 1e-12
+from ._rules import (  # noqa: F401  (the package exports the rules from here)
+    DEFAULT_EQUALITY_TOL, DEFAULT_UNITARITY_TOL, ConsistencyError, DomainError,
+    PreconditionError, ShapeError, StructureError, _is_int, finite_real, json_float,
+    json_floats, json_int, matrix_document, tolerance,
+)
 
 _TWO_PI = 2.0 * math.pi
 
 
-class ShapeError(ValueError):
-    """Operand dimensions are incompatible."""
-
-
-class DomainError(ValueError):
-    """An argument lies outside the operation's domain."""
-
-
-class StructureError(ValueError):
-    """A composite value (factor chain, JSON document) is malformed."""
-
-
-class PreconditionError(ValueError):
-    """A documented precondition on the input data is violated."""
-
-
-class ConsistencyError(ArithmeticError):
-    """An internal numerical consistency check failed."""
+def number_array(a, dtype, what: str) -> np.ndarray:
+    """*a* as an array of *dtype*, ``float`` or ``complex128`` (not copied if it is one
+    already), by the package's number rule: a bool, a string, any other object, or a complex
+    entry where *dtype* is real, is a :class:`DomainError` naming *what*.  An ndarray is
+    judged by its dtype alone; other input entry by entry, so one bool among numbers counts."""
+    real = dtype is float
+    if isinstance(a, np.ndarray):
+        bad = None if a.dtype.kind in ("iuf" if real else "iufc") else a.dtype
+    else:
+        a = np.asarray(a, dtype=object)
+        number = numbers.Real if real else numbers.Complex
+        types = dict.fromkeys(map(type, a.flat))  # in the order of their first entries
+        bad = next((t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, number)),
+                   None)
+    if bad is not None:
+        raise DomainError(f"{what} entries must be {'real ' if real else ''}numbers, got {bad}")
+    try:
+        return np.asarray(a, dtype=dtype)
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError(f"{what} contains non-finite entries") from None
 
 
 def require_square(a) -> np.ndarray:
@@ -52,7 +59,7 @@ def require_square(a) -> np.ndarray:
 
     Raises :class:`ShapeError` for a wrong shape, :class:`DomainError` for non-finite entries.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = number_array(a, np.complex128, "matrix")
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
@@ -113,7 +120,7 @@ def wrap_angles(phases) -> np.ndarray:
 
 def phase_vector(phases) -> np.ndarray:
     """Validate a sequence of real phases and return it as a float array."""
-    p = np.asarray(phases, dtype=float)
+    p = number_array(phases, float, "phase vector")
     if p.ndim != 1:
         raise ShapeError(f"phase vector must be 1-d, got ndim={p.ndim}")
     if not np.all(np.isfinite(p)):
@@ -162,49 +169,6 @@ def haar_random(n: int, seed: int) -> np.ndarray:
 # are strings or booleans, and orders that are not JSON integers.
 
 
-def _is_int(value) -> bool:
-    """Python and numpy integers but not bools: the package's rule for orders and indices."""
-    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def finite_real(value, what: str) -> float:
-    """*value* as a float: a bool, a non-real, a non-finite value or an integer beyond the float
-    range is a :class:`DomainError` naming *what*.  The package's rule for angles and phases."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{what} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise DomainError(f"{what} must be finite, got a huge integer") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value}")
-    return value
-
-
-def json_int(value, what: str) -> int:
-    """An integer field of a JSON document; a bool, float or string is a :class:`StructureError`."""
-    if not _is_int(value):
-        raise StructureError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def json_float(value, what: str) -> float:
-    """A number field of a JSON document; a bool, string or list is a :class:`StructureError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise StructureError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise DomainError(f"{what} is too large for a float") from None
-
-
-def json_floats(values, what: str) -> list:
-    """A list field of JSON numbers, as floats; anything but a list is a :class:`StructureError`."""
-    if not isinstance(values, list):
-        raise StructureError(f"{what} must be a list of numbers, got {type(values).__name__}")
-    return [json_float(v, f"{what} entry {i}") for i, v in enumerate(values)]
-
-
 def complex_to_pairs(values) -> list:
     """Serialise complex numbers to a list of [re, im] float pairs."""
     z = np.asarray(values, dtype=np.complex128).ravel()
@@ -237,16 +201,5 @@ def matrix_to_json_dict(a) -> dict:
 
 def matrix_from_json_dict(obj) -> np.ndarray:
     """Parse and validate the JSON matrix document produced above."""
-    if not isinstance(obj, dict):
-        raise StructureError("matrix document must be a JSON object")
-    try:
-        n = json_int(obj["n"], "'n'")
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"matrix document missing/invalid field: {exc}") from exc
-    if n < 1:
-        raise DomainError(f"matrix order must be >= 1, got {n}")
-    if not isinstance(entries, list) or len(entries) != n * n:
-        actual = len(entries) if isinstance(entries, list) else "non-list"
-        raise StructureError(f"'entries' must hold {n * n} pairs, got {actual}")
+    n, entries = matrix_document(obj)
     return complex_from_pairs(entries).reshape(n, n)

@@ -50,9 +50,11 @@ from .matrix_core import (
     json_floats,
     json_int,
     maxnorm,
+    number_array,
     phase_vector,
     require_square,
     require_unitary,
+    tolerance,
     wrap_angles,
 )
 
@@ -82,8 +84,9 @@ def _check_units(cols: np.ndarray) -> None:
 
 
 def _as_char(a, k: int | None = None, dtype=np.complex128) -> np.ndarray:
-    """A validated copy of a characteristic vector of *dtype* entries: 1-d, finite, unit norm."""
-    v = np.array(a, dtype=dtype).ravel()
+    """A validated copy of a characteristic vector of *dtype* entries (``complex128`` or
+    ``float``, by :func:`number_array`'s rule): 1-d, finite, unit norm."""
+    v = np.array(number_array(a, dtype, "characteristic vector")).ravel()
     if v.size < 1:
         raise DomainError("characteristic vector must have length >= 1")
     if k is not None and v.size != k - 1:
@@ -195,7 +198,7 @@ def apply_factor(theta: float, a, m) -> np.ndarray:
     """
     a = _as_char(a)
     k = a.size + 1
-    out = np.array(m, dtype=np.complex128)
+    out = np.array(number_array(m, np.complex128, "operand"))
     if out.ndim not in (1, 2) or out.shape[0] < k:
         raise ShapeError(f"expected a vector or matrix with >= {k} rows, got shape {out.shape}")
     _apply_block(theta, a, a.conj(), out.reshape(out.shape[0], -1))
@@ -394,8 +397,9 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
     col takes the last basis vector as characteristic vector; a zero
     corner takes beta_k = 0.  Output: descending order, all-zero left
     phases, exactly n^2 real parameters, and compose(decompose(x)) = x
-    within 10 * tol.
+    within 10 * tol.  *tol* is a finite real >= 0.
     """
+    tol = tolerance(tol, "tol")
     return _peel(require_unitary(x, tol), tol)
 
 

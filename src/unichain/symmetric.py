@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DomainError, StructureError, _is_int, finite_real, json_floats, json_int
+from .matrix_core import (
+    DomainError, StructureError, _is_int, finite_real, json_floats, json_int, number_array,
+)
 from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
@@ -91,12 +93,12 @@ def _real_chars(chars: tuple) -> tuple:
     packed = np.zeros((m, m))
     try:
         for i, xs in enumerate(chars):
-            v = np.asarray(xs, dtype=float).ravel()
+            v = number_array(xs, float, "characteristic vector").ravel()
             if v.size != i + 1:
                 raise DomainError("characteristic vector length")
             packed[i, : i + 1] = v
         _check_units(packed.T)
-    except (OverflowError, TypeError, ValueError):  # DomainError is a ValueError
+    except ValueError:  # DomainError is one
         vectors = tuple(_as_char(xs, k, float) for k, xs in enumerate(chars, start=2))
     else:
         packed.setflags(write=False)

@@ -572,6 +572,30 @@ class TestOneGatePerCommand:
         assert len(built) == 1
 
 
+class TestToleranceFlag:
+    """``--tol`` is a finite real >= 0, refused before the input is read."""
+
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "--tol must be finite, got inf"),
+        ("nan", "--tol must be finite, got nan"),
+        ("-1", "--tol must not be negative, got -1.0"),
+        ("-inf", "--tol must be finite, got -inf"),
+    ])
+    @pytest.mark.parametrize("command", ["decompose", "verify", "zerotexture"])
+    def test_refused_with_one_line(self, tmp_path, capsys, command, value, message):
+        # [[1, 0.5], [0.2, 1]] is not unitary: under --tol inf, decompose used to exit 0
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 0], [0.5, 0], [0.2, 0], [1, 0]]}))
+        assert main([command, f"--tol={value}", "--in", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"unichain {command}: invalid input: {message}\n")
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_zero_passes_an_exactly_unitary_matrix(self, tmp_path, capsys, command):
+        path = write_matrix(tmp_path, "eye.json", np.eye(3))
+        assert main([command, "--tol", "0", "--in", path]) == 0, capsys.readouterr().err
+
+
 class TestSmallOrders:
     def test_verify_accepts_1x1(self):
         gen = run_cli(["gen", "--n", "1", "--seed", "4"])

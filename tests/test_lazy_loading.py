@@ -88,7 +88,7 @@ class TestPublicNames:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [
             "['unichain']",
-            "['unichain', 'unichain.matrix_core', 'unichain.recursive_param']",
+            "['unichain', 'unichain._rules', 'unichain.matrix_core', 'unichain.recursive_param']",
         ]
 
 
@@ -106,18 +106,25 @@ print(json.dumps([code, ran]))
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
-    """A matrix, a chain, symmetric parameters, a two-zero texture and a non-unitary matrix."""
+    """A matrix, a chain, symmetric parameters, a two-zero texture and a non-unitary matrix;
+    and documents refused before numpy loads: a truncated one, a matrix one entry short, one
+    whose order is not an integer, and one of an order over the plaquette-table cap."""
     root = tmp_path_factory.mktemp("lazy")
     x = haar_random(4, 1)
+    matrix = matrix_to_json_dict(x)
     docs = {
-        "matrix": matrix_to_json_dict(x),
+        "matrix": matrix,
         "chain": decomposition_to_json_dict(decompose(x)),
         "symmetric": {"n": 3, "thetas": [1, 2], "chars": [[1], [0.6, 0.8]], "half_angle": True},
         "texture": matrix_to_json_dict(texture_matrix(np.random.default_rng(3))),
         "non_unitary": matrix_to_json_dict(x * 1.01),
+        "one_short": {"n": 4, "entries": matrix["entries"][:-1]},
+        "float_order": {**matrix, "n": 4.0},
+        "order_65": {"n": 65, "entries": [[1.0, 0.0]] * 65**2},
     }
     for name, doc in docs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
+    (root / "truncated.json").write_text(json.dumps(matrix)[:100])
     return root
 
 
@@ -240,3 +247,67 @@ class TestFirstReadsInThreads:
             res = _child(code)
             assert res.returncode == 0, res.stderr
             assert res.stdout.splitlines() == ["[] 1 True"]
+
+
+# Calls cli.main once with stdout and stderr captured, then prints the exit code, both
+# streams and whether numpy was imported.
+_RUN_AND_REPORT = """\
+import contextlib, io, json, sys
+from unichain import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+class TestRefusalsBeforeNumpy:
+    """Flags, JSON, document shapes and the table cap are checked before numpy loads."""
+
+    def test_importing_cli_loads_no_numpy(self):
+        res = _child("import sys\nimport unichain.cli\nprint('numpy' in sys.modules)")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["False"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", "--in", "truncated.json"], "malformed JSON in 'truncated.json'"),
+        (["compose", "--in", "truncated.json"], "malformed JSON in 'truncated.json'"),
+        (["symmetric", "--in", "truncated.json"], "malformed JSON in 'truncated.json'"),
+        (["reorder", "--target", "2,3,4", "--in", "truncated.json"], "malformed JSON"),
+        (["decompose", "--in", "missing.json"], "cannot read 'missing.json'"),
+        (["decompose", "--in", "one_short.json"], "'entries' must hold 16 pairs, got 15"),
+        (["panel", "--in", "one_short.json"], "'entries' must hold 16 pairs, got 15"),
+        (["decompose", "--in", "float_order.json"], "'n' must be an integer, got 4.0"),
+        (["invariants", "--in", "order_65.json"], "order 65 needs 4326400 plaquettes"),
+        (["verify", "--in", "order_65.json"], "order 65 needs 4326400 plaquettes"),
+        (["gen", "--n", "4", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["verify", "--seed", "-1", "--in", "matrix.json"], "--seed must be"),
+        (["decompose", "--gauge", "canonical", "--order", "desc", "--in", "matrix.json"],
+         "canonical gauge is defined on ascending chains"),
+        (["decompose", "--tol", "inf", "--in", "non_unitary.json"], "--tol must be finite"),
+        (["verify", "--tol", "nan", "--in", "matrix.json"], "--tol must be finite"),
+        (["zerotexture", "--tol", "-1", "--in", "texture.json"], "--tol must not be negative"),
+    ], ids=["truncated", "truncated-chain", "truncated-symmetric", "truncated-reorder",
+            "missing-file", "one-short", "one-short-panel", "float-order", "invariants-cap",
+            "verify-cap", "gen-seed", "verify-seed", "canonical-desc", "decompose-tol",
+            "verify-tol", "zerotexture-tol"])
+    def test_refusal_exits_1_with_one_line_and_no_numpy(self, documents, argv, message):
+        res = _child(_RUN_AND_REPORT, *argv, cwd=documents)
+        assert res.returncode == 0, res.stderr
+        code, out, err, numpy_loaded = json.loads(res.stdout)
+        assert (code, out, numpy_loaded) == (1, "", False), err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"unichain {argv[0]}: invalid input: ") and message in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["gen", "--n", "2", "--seed", "1", "--out", "-"], 0),
+        (["decompose", "--in", "non_unitary.json"], 1),
+    ], ids=["gen", "non-unitary"])
+    def test_controls_load_numpy(self, documents, argv, expected):
+        res = _child(_RUN_AND_REPORT, *argv, cwd=documents)
+        assert res.returncode == 0, res.stderr
+        code, out, err, numpy_loaded = json.loads(res.stdout)
+        assert (code, numpy_loaded) == (expected, True), err
+        if expected:
+            assert (out, err) == ("", "unichain decompose: invalid input: input is not unitary "
+                                      "within 1e-10\n")

@@ -5,6 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import texture_matrix
+from unichain import (
+    Decomposition,
+    Factor,
+    SymmetricParams,
+    apply_factor,
+    block,
+    decompose,
+    plaquette_table,
+    zero_texture_analysis,
+)
 from unichain.matrix_core import (
     DomainError,
     ShapeError,
@@ -195,3 +206,87 @@ class TestMatrixJson:
             json_float(10**400, "'x'")
         with pytest.raises(DomainError, match="not finite"):
             matrix_from_json_dict({"n": 1, "entries": [[float("inf"), 0.0]]})
+
+
+class TestNumberRuleForArrays:
+    """Array arguments follow the scalars' number rule: a bool, a string or another object
+    among the entries is a DomainError, even one bool among numbers."""
+
+    @pytest.mark.parametrize("call", [
+        "Factor(3, 3, 0.1, ['1', '0'])",
+        "Factor(3, 3, 0.1, [True, False])",
+        "Factor(3, 3, 0.1, [1.0, np.bool_(False)])",
+        "SymmetricParams(3, (0.1, 0.2), ([True], [False, True]))",
+        "SymmetricParams(3, (0.1, 0.2), ([1.0], [0.6, 0.8j]))",
+        "Decomposition(2, (Factor(2, 2, 0.1, [1.0]),), ['0.1', '0.2'], [0, 0], 'ascending')",
+        "phase_matrix(['0.5', '1'])",
+        "phase_matrix([0.5, True])",
+        "phase_matrix([None])",
+        "phase_matrix(np.array([0.5j]))",
+        "decompose([[True, False], [False, True]])",
+        "decompose([['1', '0'], ['0', '1']])",
+        "decompose([[1.0, 0.0], [0.0, True]])",
+        "plaquette_table(np.eye(3, dtype=bool))",
+        "plaquette_table(np.eye(3).astype(object))",
+        "require_square(np.array([['1', '0'], ['0', '1']]))",
+        "apply_factor(0.3, ['1'], np.eye(2))",
+        "apply_factor(0.3, [1.0], [[True, 0], [0, 1]])",
+        "block(0.3, [True])",
+    ])
+    def test_refused(self, call):
+        with pytest.raises(DomainError, match="entries must be (real )?numbers, got "):
+            eval(call)
+
+    def test_the_first_entry_that_is_not_a_number_is_named(self):
+        with pytest.raises(DomainError, match="matrix entries must be numbers, got str$"):
+            require_square([[1.0, "0"], [None, True]])
+        with pytest.raises(DomainError, match="phase vector entries must be real numbers, got bool"):
+            phase_matrix(np.eye(2, dtype=bool)[0])
+
+    def test_an_ndarray_is_judged_by_its_dtype(self):
+        # an object array is refused though each entry is a float; no entry is read
+        with pytest.raises(DomainError, match="got object"):
+            require_square(np.eye(2).astype(object))
+        m = np.eye(3, dtype=np.complex128)
+        assert require_square(m) is m
+
+    def test_an_integer_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(DomainError, match="matrix contains non-finite entries"):
+            require_square([[10**400]])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.float32, np.float64])
+    def test_numpy_integer_and_float_arrays_pass(self, dtype):
+        eye = np.eye(3, dtype=dtype)
+        assert decompose(eye).ambient_n == 3
+        assert require_square(eye).tobytes() == np.eye(3, dtype=complex).tobytes()
+        assert phase_matrix(np.zeros(3, dtype=dtype)).tobytes() == eye.astype(complex).tobytes()
+        assert Factor(3, 3, 0.1, eye[0, :2]).char.tolist() == [1, 0]
+        params = SymmetricParams(3, (0.1, 0.2), (eye[0, :1], eye[1, :2]))
+        assert params.real_chars[1].tolist() == [0.0, 1.0]
+
+    def test_lists_of_python_and_numpy_numbers_pass(self):
+        assert require_square([[1, 0j], [np.float32(0), np.int64(1)]]).dtype == np.complex128
+        assert phase_matrix([0, 0.0, np.float64(0)]).tobytes() == np.eye(3, dtype=complex).tobytes()
+        assert Factor(3, 3, 0.1, [np.complex64(1), 0]).char.tolist() == [1, 0]
+
+
+class TestToleranceRule:
+    """The two public tolerance parameters are finite reals >= 0."""
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0, -1e-300, True,
+                                     "1e-10", None, 10**400],
+                             ids=["inf", "-inf", "nan", "-1", "-1e-300", "bool", "string",
+                                  "none", "huge-int"])
+    @pytest.mark.parametrize("function", [decompose, zero_texture_analysis],
+                             ids=["decompose", "zero_texture_analysis"])
+    def test_refused(self, function, tol):
+        x = texture_matrix(np.random.default_rng(2))
+        with pytest.raises(DomainError, match="^tol must "):
+            function(x, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-10, np.float64(1e-9), 1])
+    def test_accepted(self, tol):
+        assert decompose(np.eye(3), tol=tol).ambient_n == 3
+        x = texture_matrix(np.random.default_rng(2))
+        if 0 < tol < 1:  # the composed zeros are not all exact; 1 takes every entry for one
+            assert zero_texture_analysis(x, tol=tol).vanishing_count == 19

@@ -270,7 +270,7 @@ class TestSymmetricParamsValidation:
             (([2.0], [1.0], "x"), DomainError, "norm 2.0 is not 1"),
             (([1.0], [1.0], [0.5, 0.5]), DomainError, "order 3 must have length 2, got 1"),
             (([1.0], [np.nan, 1.0], [0.5]), DomainError, "non-finite"),
-            (([1.0], "ab", [0.5]), ValueError, "could not convert"),
+            (([1.0], "ab", [0.5]), DomainError, "must be real numbers, got str"),
             (([1.0], [0.6, 0.8], [0.0, 0.0, 1.5]), DomainError, "norm 1.5 is not 1"),
         ],
     )

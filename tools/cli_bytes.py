@@ -22,9 +22,10 @@ into descending and a mixed order, ``panel``, ``verify`` and
 ``zerotexture``, and ``invariants`` up to n = 16 (at n = 64 it writes
 4 064 256 plaquettes) on the matrix and on the canonical chain; two-zero textures; symmetric parameter sets through ``symmetric``
 and ``compose``; and documents that must exit 1 (non-numbers, non-lists,
-malformed or deeply nested JSON, bad flags) or 2 (``verify`` at a tolerance
-below rounding).  OUTDIR must be empty or new.  The 520 invocations run two at
-a time and take under two minutes on two cores.
+malformed or deeply nested JSON, a matrix one entry short, bad flags, tolerances that
+are not finite or are negative) or 2 (``verify`` at a tolerance below rounding).
+OUTDIR must be empty or new.  The 526 invocations run two at a time and take
+under two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ def stages() -> tuple:
         first.append((t, ["compose", "--in", f"{t}-chain.json"], None))
         for cmd in ("zerotexture", "panel", "invariants"):
             second.append((f"{t}-{cmd}", [cmd, "--in", f"{t}.stdout"], None))
+    second.append(("invalid-zerotexture-tol-nan", ["zerotexture", "--tol", "nan"],
+                   "@texture-0.stdout"))
     for n in (2, 3, 4, 5):
         for half in (True, False):
             name = f"symmetric-n{n}-{'half' if half else 'full'}"
@@ -164,8 +167,15 @@ def stages() -> tuple:
             ]
     first += [(f"invalid-{name}", [cmd], json.dumps(doc)) for name, cmd, doc in INVALID]
     non_unitary = {"n": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]}
+    loose = json.dumps({"n": 2, "entries": [[1, 0], [0.5, 0], [0.2, 0], [1, 0]]})
+    first += [
+        (f"invalid-{cmd}-tol-{label}", [cmd, "--tol", value], loose)
+        for cmd, label, value in (("decompose", "inf", "inf"), ("decompose", "nan", "nan"),
+                                  ("decompose", "negative", "-1"), ("verify", "inf", "inf"))
+    ]
     first += [
         ("invalid-malformed-json", ["decompose"], '{"n": 2, "entries": [[1, 0]'),
+        ("invalid-matrix-one-short", ["decompose"], '{"n": 2, "entries": [[1, 0], [0, 0], [0, 0]]}'),
         ("invalid-nested-json", ["compose"], "[" * 200_000 + "]" * 200_000),
         ("invalid-missing-input", ["decompose", "--in", "missing.json"], None),
         ("invalid-unwritable-out", ["gen", "--n", "2", "--seed", "1", "--out", "missing/x"], None),
