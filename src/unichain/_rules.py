@@ -1,9 +1,11 @@
 """The package's input rules that need no numpy: error classes, tolerances, number rules,
-the shape of a matrix document and the plaquette-table cap.
+the order rules of chains and palindromes, the order caps of ``gen``, plaquette tables and
+zero textures, and the shape of each JSON document: a matrix, a chain, symmetric parameters.
 
-``matrix_core`` and ``invariants`` import these names and export them as their own, so each
-rule has this one implementation.  The CLI applies them to its flags and documents before
-it loads numpy, so malformed input is refused without paying numpy's import.
+The layers import these names and export them as their own, so each rule has this one
+implementation; a constructor and the reader of its document call the same rule.  The CLI
+applies them to its flags and documents before it loads numpy, so malformed, oversized and
+wrong-kind input is refused without paying numpy's import.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ DEFAULT_EQUALITY_TOL = 1e-12
 
 #: Most entries a plaquette table may have: the n = 64 table, 2016^2 entries (62 MB).
 MAX_TABLE_ENTRIES = 2016**2
+#: Largest matrix order ``gen`` accepts; larger orders are refused before any allocation.
+MAX_GEN_N = 1024
+
+ASCENDING = "ascending"
+DESCENDING = "descending"
+CUSTOM = "custom"
 
 
 class ShapeError(ValueError):
@@ -89,17 +97,79 @@ def json_floats(values, what: str) -> list:
     return [json_float(v, f"{what} entry {i}") for i, v in enumerate(values)]
 
 
+def infer_order(orders) -> str:
+    """Classify a factor-order sequence as ascending, descending or custom."""
+    orders = list(orders)
+    if orders == sorted(orders):
+        return ASCENDING
+    if orders == sorted(orders, reverse=True):
+        return DESCENDING
+    return CUSTOM
+
+
+def chain_size(n: int, count: int) -> None:
+    """Refuse a chain over n of *count* factors unless n >= 1 and count = n - 1.  A document
+    compares its count before it reads any factor: n comes from outside and may be huge."""
+    if n < 1:
+        raise DomainError(f"ambient dimension must be >= 1, got {n}")
+    if count != n - 1:
+        raise StructureError(
+            f"chain must hold exactly one factor per order 2..{n}, got {count} factors"
+        )
+
+
+def chain_shape(n: int, orders: list, tag, left: int, right: int) -> None:
+    """The shape rule of a chain over n: :func:`chain_size`; *orders*, the factor orders in
+    product order, a permutation of 2..n that the order *tag* (ascending, descending, or
+    custom for any permutation) names; and phase vectors of *left* and *right* entries, n each."""
+    chain_size(n, len(orders))
+    if sorted(orders) != list(range(2, n + 1)):
+        raise StructureError(
+            f"chain must hold exactly one factor per order 2..{n}, got orders {orders}"
+        )
+    if tag not in (ASCENDING, DESCENDING, CUSTOM):
+        raise StructureError(f"unknown order tag {tag!r}")
+    # n <= 2 chains are both ascending and descending; any tag but custom fits.
+    if tag != CUSTOM and n > 2 and tag != infer_order(orders):
+        raise StructureError(f"order tag {tag!r} does not match sequence {orders}")
+    if left != n or right != n:
+        raise StructureError(f"phase vectors must have length {n}, got {left} and {right}")
+
+
+def char_length(k: int, size: int) -> None:
+    """Refuse a characteristic vector of order k whose length *size* is not k - 1."""
+    if size != k - 1:
+        raise DomainError(
+            f"characteristic vector for order {k} must have length {k - 1}, got {size}"
+        )
+
+
+def symmetric_shape(n: int, thetas, chars) -> None:
+    """The shape rule of a palindrome of order n: n >= 2, n - 1 angles and n - 1 vectors."""
+    if n < 2:
+        raise DomainError(f"order must be >= 2, got {n}")
+    if len(thetas) != n - 1:
+        raise StructureError(f"expected {n - 1} angles (theta_2..theta_{n}), got {len(thetas)}")
+    if len(chars) != n - 1:
+        raise StructureError(f"expected {n - 1} characteristic vectors, got {len(chars)}")
+
+
+def _fields(obj, what: str, read) -> tuple:
+    """``read(obj)``, the fields of the JSON object *obj*: a non-object, a missing field or a
+    field that *read* refuses is a :class:`StructureError` naming *what*."""
+    if not isinstance(obj, dict):
+        raise StructureError(f"{what} must be a JSON object")
+    try:
+        return read(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError(f"{what} missing/invalid field: {exc}") from exc
+
+
 def matrix_document(obj) -> tuple:
     """The order n and the entry list of a matrix document ``{"n": n, "entries": [...]}``,
     checked to be a JSON object with an integer n >= 1 and a list of n^2 entries; the
     entries themselves are not read."""
-    if not isinstance(obj, dict):
-        raise StructureError("matrix document must be a JSON object")
-    try:
-        n = json_int(obj["n"], "'n'")
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"matrix document missing/invalid field: {exc}") from exc
+    n, entries = _fields(obj, "matrix document", lambda o: (json_int(o["n"], "'n'"), o["entries"]))
     if n < 1:
         raise DomainError(f"matrix order must be >= 1, got {n}")
     if not isinstance(entries, list) or len(entries) != n * n:
@@ -113,3 +183,60 @@ def _require_table_order(n: int) -> None:
     m = n * (n - 1) // 2
     if m * m > MAX_TABLE_ENTRIES:
         raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
+
+
+def _require_gen_order(n: int) -> None:
+    """Refuse a ``gen`` order over ``MAX_GEN_N``."""
+    if n > MAX_GEN_N:
+        raise DomainError(f"matrix order {n} exceeds the cap {MAX_GEN_N}")
+
+
+def _require_texture_order(n: int) -> None:
+    """Refuse a zero-texture analysis of an order other than 4."""
+    if n != 4:
+        raise DomainError(f"zero-texture analysis is specific to n=4, got n={n}")
+
+
+def chain_document(obj) -> tuple:
+    """(n, tag, factors, alpha, beta) of a chain document, checked by :func:`chain_shape`:
+    a JSON object with an integer n, whose n - 1 factors are counted before one is read.
+    Each factor is (k, theta, char), k an integer, theta a finite number and char a list of
+    k - 1 items, which are not read; alpha and beta are lists of n numbers."""
+    n, tag, items, alpha, beta = _fields(obj, "decomposition document", lambda o: (
+        json_int(o["n"], "'n'"), o["order"], o["factors"],
+        json_floats(o["alpha"], "'alpha'"), json_floats(o["beta"], "'beta'"),
+    ))
+    if not isinstance(items, list):
+        raise StructureError("'factors' must be a list")
+    chain_size(n, len(items))
+    factors = []
+    for i, item in enumerate(items):
+        k, theta, char = _fields(item, f"factor {i}", lambda f: (
+            json_int(f["k"], "'k'"), json_float(f["theta"], "'theta'"), f["char"],
+        ))
+        if not isinstance(char, list):
+            raise StructureError(f"expected a list of [re, im] pairs, got {type(char).__name__}")
+        factors.append((k, finite_real(theta, "theta"), char))
+    chain_shape(n, [k for k, _, _ in factors], tag, len(alpha), len(beta))
+    for k, _, char in factors:
+        char_length(k, len(char))
+    return n, tag, factors, alpha, beta
+
+
+def symmetric_document(obj) -> tuple:
+    """(n, thetas, chars, half_angle) of a symmetric-parameter document, checked by
+    :func:`symmetric_shape`: a JSON object with an integer n, n - 1 numbers ``thetas``, n - 1
+    lists ``chars`` of 1 .. n - 1 numbers, and a bool ``half_angle``, true when absent."""
+    n, thetas, chars, half_angle = _fields(obj, "symmetric-params document", lambda o: (
+        json_int(o["n"], "'n'"), json_floats(o["thetas"], "'thetas'"), o["chars"],
+        o.get("half_angle", True),
+    ))
+    if not isinstance(chars, list):
+        raise StructureError(f"'chars' must be a list, got {type(chars).__name__}")
+    symmetric_shape(n, thetas, chars)
+    chars = [json_floats(xs, f"'chars' entry {i}") for i, xs in enumerate(chars)]
+    for k, xs in enumerate(chars, start=2):
+        char_length(k, len(xs))
+    if not isinstance(half_angle, bool):
+        raise StructureError(f"'half_angle' must be true or false, got {half_angle!r}")
+    return n, thetas, chars, half_angle

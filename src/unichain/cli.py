@@ -6,8 +6,9 @@ commands compose in pipelines:
 
     unichain gen --n 4 --seed 7 | unichain decompose | unichain compose
 
-Exit codes: 0 success, 1 validation error (bad flags, malformed input,
-violated precondition), 2 numeric-consistency failure (a residual above
+Exit codes: 0 success, 1 validation error (bad flags; malformed, oversized
+or wrong-kind documents, refused by :func:`_read` before numpy loads;
+violated preconditions), 2 numeric-consistency failure (a residual above
 tolerance).  Output is deterministic: keys are emitted in a fixed order
 and numbers in shortest round-trip decimal form, so identical inputs and
 flags produce byte-identical bytes.  JSON documents are streamed a block
@@ -29,21 +30,20 @@ import sys
 from collections.abc import Iterator
 from itertools import combinations
 
-# A command runs the layers it reads and no other: ``gen`` none of rp, inv and sym.  Its flags,
-# its JSON and the shape of its document are checked first, by the rules of ``_rules``, so such
-# a refusal never loads numpy.
+# A command runs the layers it reads and no other: ``gen`` none of rp, inv and sym.  It checks
+# its flags, then reads its document in one step (``_read``: the JSON, the document's kind and
+# shape, the command's order rule) by the rules of ``_rules``, so a refusal never loads numpy.
 from . import invariants as inv, matrix_core as mc, recursive_param as rp, symmetric as sym
 from ._rules import (
-    DEFAULT_UNITARITY_TOL, ConsistencyError, DomainError, StructureError, _require_table_order,
-    matrix_document, tolerance,
+    DEFAULT_UNITARITY_TOL, MAX_GEN_N, ConsistencyError, DomainError, StructureError,
+    _require_gen_order, _require_table_order, _require_texture_order, chain_document,
+    matrix_document, symmetric_document, tolerance,
 )
 
 _EXIT_OK = 0
 _EXIT_INVALID = 1
 _EXIT_NUMERIC = 2
 
-#: Largest matrix order ``gen`` accepts; larger orders are refused before any allocation.
-MAX_GEN_N = 1024
 #: Largest entry of |V - V^T| with which ``symmetric`` passes its matrix.
 SYMMETRY_TOL = 1e-12
 #: Largest unitarity defect with which ``symmetric`` passes its matrix.
@@ -110,9 +110,31 @@ def _texts(values, depth: int) -> list:
 # --- I/O helpers -------------------------------------------------------------
 
 
-def _read_json(path: str):
-    """The parsed JSON document at *path*, "-" for stdin.  Commands read it before they touch a
-    layer: ``rp.f(_read_json(path))`` would load ``rp``, and numpy, before the read."""
+#: The rule each command's order must meet, applied as soon as the order is read: before
+#: ``gen`` allocates, and before a document is decoded.
+_ORDER_RULES = {
+    "gen": _require_gen_order,
+    "invariants": _require_table_order,
+    "verify": _require_table_order,
+    "zerotexture": _require_texture_order,
+}
+
+#: Each document kind: the key that marks it, its name, its shape rule (the order first) and
+#: its layer's reader, looked up when called so the layer loads then; it applies the rule again.
+_KINDS = {
+    "matrix": ("entries", "a matrix", matrix_document, lambda o: mc.matrix_from_json_dict(o)),
+    "chain": ("factors", "a decomposition", chain_document,
+              lambda o: rp.decomposition_from_json_dict(o)),
+    "symmetric": ("thetas", "symmetric parameters", symmetric_document,
+                  lambda o: sym.symmetric_params_from_json_dict(o)),
+}
+
+
+def _read(args, *kinds) -> tuple:
+    """The kind of the JSON document at ``args.infile`` ("-" for stdin) and the document,
+    decoded once its shape and the command's order rule have passed.  Its kind is the first
+    of *kinds* whose key it holds, or else the only one of *kinds*."""
+    path = args.infile
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -122,22 +144,23 @@ def _read_json(path: str):
     except OSError as exc:
         raise StructureError(f"cannot read {path!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(
             f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:
         raise StructureError(f"JSON in {path!r} is nested too deeply") from None
-
-
-def _matrix(obj, table: bool = False):
-    """The matrix of the document *obj*, decoded once its shape and, with *table*, its order
-    against the plaquette-table cap have passed: those refusals come before numpy loads."""
-    n, _ = matrix_document(obj)
-    if table:
-        _require_table_order(n)  # refused before the O(n^3) checks and tables
-    return mc.matrix_from_json_dict(obj)
+    found = [kind for kind in kinds if isinstance(obj, dict) and _KINDS[kind][0] in obj]
+    if not found and len(kinds) > 1:
+        raise StructureError("input is neither " + " nor ".join(
+            f"{_KINDS[kind][1]} (no {_KINDS[kind][0]!r} key)" for kind in kinds))
+    kind = (found or kinds)[0]
+    _, _, rule, reader = _KINDS[kind]
+    n = rule(obj)[0]
+    if args.command in _ORDER_RULES:
+        _ORDER_RULES[args.command](n)
+    return kind, reader(obj)
 
 
 @contextlib.contextmanager
@@ -182,18 +205,6 @@ def _emit_matrix(path: str, x, fmt: str):
         _emit_json(path, mc.matrix_to_json_dict(x))
 
 
-def _detect_params(obj):
-    """Distinguish chain-decomposition from symmetric-parameter documents."""
-    if isinstance(obj, dict) and "factors" in obj:
-        return rp.decomposition_from_json_dict(obj)
-    if isinstance(obj, dict) and "thetas" in obj:
-        return sym.symmetric_params_from_json_dict(obj)
-    raise StructureError(
-        "input is neither a decomposition (no 'factors' key) nor "
-        "symmetric parameters (no 'thetas' key)"
-    )
-
-
 def _plaquette_rows(n: int, blocks):
     """The plaquettes of the order-*n* table's *blocks* (:func:`inv._table_rows`), rendered as
     the items of the invariants document's ``"plaquettes"`` list (two levels deep), a block of
@@ -230,8 +241,7 @@ def _require_seed(seed: int):
 
 
 def _cmd_gen(args) -> int:
-    if args.n > MAX_GEN_N:
-        raise DomainError(f"matrix order {args.n} exceeds the cap {MAX_GEN_N}")
+    _ORDER_RULES["gen"](args.n)
     _require_seed(args.seed)
     x = mc.haar_random(args.n, args.seed)
     _emit_matrix(args.out, x, args.format)
@@ -239,11 +249,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    params = _detect_params(_read_json(args.infile))
-    if isinstance(params, rp.Decomposition):
-        x = rp.compose(params)
-    else:
-        x = sym.compose_symmetric(params)
+    kind, params = _read(args, "chain", "symmetric")
+    x = rp.compose(params) if kind == "chain" else sym.compose_symmetric(params)
     _emit_matrix(args.out, x, args.format)
     return _EXIT_OK
 
@@ -254,7 +261,7 @@ def _cmd_decompose(args) -> int:
             "canonical gauge is defined on ascending chains; use --order asc"
         )
     tolerance(args.tol, "--tol")
-    x = _matrix(_read_json(args.infile))
+    _, x = _read(args, "matrix")
     d = rp.decompose(x, tol=args.tol)
     if args.order == "asc":
         d = rp.reorder_chain(d, range(2, d.ambient_n + 1))
@@ -269,23 +276,16 @@ def _cmd_reorder(args) -> int:
         target = [int(tok) for tok in args.target.split(",")]
     except ValueError as exc:
         raise DomainError(f"--target must be comma-separated integers: {exc}") from exc
-    obj = _read_json(args.infile)
-    d = rp.decomposition_from_json_dict(obj)
+    _, d = _read(args, "chain")
     _emit_json(args.out, rp.decomposition_to_json_dict(rp.reorder_chain(d, target)))
     return _EXIT_OK
 
 
 def _cmd_invariants(args) -> int:
-    obj = _read_json(args.infile)
+    kind, x = _read(args, "matrix", "chain")
     omegas = {}
-    if isinstance(obj, dict) and "entries" in obj:
-        x = _matrix(obj, table=True)
-    else:
-        d = _detect_params(obj)
-        if not isinstance(d, rp.Decomposition):
-            raise DomainError("invariants expects a matrix or a decomposition")
-        _require_table_order(d.ambient_n)
-        x = rp.compose(d)
+    if kind == "chain":
+        d, x = x, rp.compose(x)
         if rp.infer_order(d.orders.tolist()) == rp.ASCENDING:
             omegas = {"omegas": list(inv.omega_from_params(d).omegas)}
     x = mc.require_unitary(x)
@@ -300,7 +300,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    x = _matrix(_read_json(args.infile))
+    _, x = _read(args, "matrix")
     lat = inv.panel_lattice(x)
     payload = {
         "n": lat.n,
@@ -321,7 +321,7 @@ def _cmd_panel(args) -> int:
 
 def _cmd_zerotexture(args) -> int:
     tolerance(args.tol, "--tol")
-    x = _matrix(_read_json(args.infile))
+    _, x = _read(args, "matrix")
     rep = inv.zero_texture_analysis(x, tol=args.tol)
     payload = {
         "J": rep.J,
@@ -345,8 +345,7 @@ def _cmd_zerotexture(args) -> int:
 
 
 def _cmd_symmetric(args) -> int:
-    obj = _read_json(args.infile)
-    params = sym.symmetric_params_from_json_dict(obj)
+    _, params = _read(args, "symmetric")
     x = sym.compose_symmetric(params)
     sym_residual = mc.max_abs_diff(x, x.T)
     uni_residual = mc.unitarity_defect(x)
@@ -441,7 +440,7 @@ def _identities(x, tol: float, seed: int, admitted: bool) -> Iterator:
 def _cmd_verify(args) -> int:
     _require_seed(args.seed)  # the flags are refused before the input is read
     tolerance(args.tol, "--tol")
-    x = _matrix(_read_json(args.infile), table=True)
+    _, x = _read(args, "matrix")
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)
     max_residual = max(c["residual"] for c in checks)
     ok = all(c["ok"] for c in checks)

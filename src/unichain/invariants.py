@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from . import recursive_param as rp
-from ._rules import MAX_TABLE_ENTRIES, _require_table_order  # noqa: F401  (exported here)
+from ._rules import MAX_TABLE_ENTRIES, _require_table_order, _require_texture_order  # noqa: F401
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_UNITARITY_TOL,
@@ -646,8 +646,7 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
     """
     tol = tolerance(tol, "tol")
     x = require_square(x)
-    if x.shape[0] != 4:  # refused before the unitarity check
-        raise DomainError(f"zero-texture analysis is specific to n=4, got n={x.shape[0]}")
+    _require_texture_order(x.shape[0])  # refused before the unitarity check
     x = require_unitary(x)
     row_order, col_order, zeros = _texture_permutation(x, tol)
     std = x[np.ix_(row_order, col_order)]

@@ -70,9 +70,11 @@ def require_square(a) -> np.ndarray:
 
 
 def require_unitary(a, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
-    """:func:`require_square`, then :class:`DomainError` unless the defect is within *tol*."""
+    """:func:`require_square`, then :class:`DomainError` unless the defect is within *tol*, a
+    finite real >= 0 by :func:`tolerance`'s rule, applied before *a* is read."""
+    tol = tolerance(tol, "tol")
     m = require_square(a)
-    if not _defect(m) <= tol:  # a nan tol rejects everything
+    if not _defect(m) <= tol:
         raise DomainError(f"input is not unitary within {tol}")
     return m
 
@@ -176,9 +178,8 @@ def complex_to_pairs(values) -> list:
 
 
 def complex_from_pairs(pairs, what: str = "entry") -> np.ndarray:
-    """Parse a list of [re, im] pairs; *what* names an item in errors."""
-    if not isinstance(pairs, list):
-        raise StructureError(f"expected a list of [re, im] pairs, got {type(pairs).__name__}")
+    """Parse a list of [re, im] pairs, which a document's shape rule found to be a list;
+    *what* names an item in errors."""
     out = np.empty(len(pairs), dtype=np.complex128)
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):

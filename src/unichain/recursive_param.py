@@ -35,6 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rules import (  # noqa: F401  (the order tags and infer_order are exported here)
+    ASCENDING, CUSTOM, DESCENDING, chain_document, chain_shape, char_length, infer_order,
+)
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_UNITARITY_TOL,
@@ -46,24 +49,16 @@ from .matrix_core import (
     complex_from_pairs,
     complex_to_pairs,
     finite_real,
-    json_float,
-    json_floats,
-    json_int,
     maxnorm,
     number_array,
     phase_vector,
     require_square,
     require_unitary,
-    tolerance,
     wrap_angles,
 )
 
 #: Allowed deviation of a characteristic vector's Euclidean norm from 1.
 CHAR_NORM_TOL = 1e-12
-
-ASCENDING = "ascending"
-DESCENDING = "descending"
-CUSTOM = "custom"
 
 #: Entries of each per-order cache of the chain layer: the padding masks, two orders per
 #: chain order (n for decompose's residual, n - 1 for the vector arrays), and the reorder
@@ -89,10 +84,8 @@ def _as_char(a, k: int | None = None, dtype=np.complex128) -> np.ndarray:
     v = np.array(number_array(a, dtype, "characteristic vector")).ravel()
     if v.size < 1:
         raise DomainError("characteristic vector must have length >= 1")
-    if k is not None and v.size != k - 1:
-        raise DomainError(
-            f"characteristic vector for order {k} must have length {k - 1}, got {v.size}"
-        )
+    if k is not None:
+        char_length(k, v.size)
     _check_units(v[:, None])
     return v
 
@@ -245,16 +238,6 @@ def exp_generator(theta: float, g: Generator | np.ndarray) -> np.ndarray:
     return np.eye(gm.shape[0]) + 1j * s * gm - (1.0 - c) * (gm @ gm)
 
 
-def infer_order(orders) -> str:
-    """Classify a factor-order sequence as ascending, descending or custom."""
-    orders = list(orders)
-    if orders == sorted(orders):
-        return ASCENDING
-    if orders == sorted(orders, reverse=True):
-        return DESCENDING
-    return CUSTOM
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """A factor chain with external phase vectors.
@@ -286,36 +269,18 @@ class Decomposition:
         if not _is_int(n):
             raise DomainError(f"ambient_n must be an integer, got {n!r}")
         object.__setattr__(self, "ambient_n", int(n))
-        if n < 1:
-            raise DomainError(f"ambient dimension must be >= 1, got {n}")
         factors = tuple(self.factors)
         ks = [f.order_k for f in factors]
-        # Compare the count first: n comes from outside and may be huge.
-        if len(ks) != n - 1 or sorted(ks) != list(range(2, n + 1)):
-            raise StructureError(
-                f"chain must hold exactly one factor per order 2..{n}, got orders {ks}"
-            )
+        left = phase_vector(self.left_phases).copy()
+        right = phase_vector(self.right_phases).copy()
+        chain_shape(n, ks, self.order, left.size, right.size)
+        thetas = np.zeros(n - 1)
+        chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
         for f in factors:
             if f.ambient_n != n:
                 raise StructureError(
                     f"factor of order {f.order_k} has ambient {f.ambient_n}, expected {n}"
                 )
-        if self.order not in (ASCENDING, DESCENDING, CUSTOM):
-            raise StructureError(f"unknown order tag {self.order!r}")
-        actual = infer_order(ks)
-        # n <= 2 chains are both ascending and descending; any tag but custom fits.
-        ambiguous = len(ks) <= 1
-        if self.order != CUSTOM and not ambiguous and self.order != actual:
-            raise StructureError(f"order tag {self.order!r} does not match sequence {ks}")
-        left = phase_vector(self.left_phases).copy()
-        right = phase_vector(self.right_phases).copy()
-        if left.size != n or right.size != n:
-            raise StructureError(
-                f"phase vectors must have length {n}, got {left.size} and {right.size}"
-            )
-        thetas = np.zeros(n - 1)
-        chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
-        for f in factors:
             thetas[f.order_k - 2] = f.theta
             chars[: f.order_k - 1, f.order_k - 2] = f.char
         self._store(ks, thetas, chars, left, right)
@@ -399,7 +364,6 @@ def decompose(x, tol: float = DEFAULT_UNITARITY_TOL) -> Decomposition:
     phases, exactly n^2 real parameters, and compose(decompose(x)) = x
     within 10 * tol.  *tol* is a finite real >= 0.
     """
-    tol = tolerance(tol, "tol")
     return _peel(require_unitary(x, tol), tol)
 
 
@@ -601,8 +565,8 @@ def in_canonical_gauge(d: Decomposition) -> bool:
 #  "factors": [{"k": int, "theta": real, "char": [[re, im], ...]}, ...],
 #  "alpha": [real, ...], "beta": [real, ...]}
 #
-# The factors array is in left-to-right product order; readers validate
-# norms, counts and the order tag.
+# The factors array is in left-to-right product order; ``_rules.chain_document``
+# checks the counts, the orders and the order tag, and the reader the vectors.
 
 
 def decomposition_to_json_dict(d: Decomposition) -> dict:
@@ -623,32 +587,14 @@ def decomposition_to_json_dict(d: Decomposition) -> dict:
 
 
 def decomposition_from_json_dict(obj) -> Decomposition:
-    if not isinstance(obj, dict):
-        raise StructureError("decomposition document must be a JSON object")
-    try:
-        n = json_int(obj["n"], "'n'")
-        order = obj["order"]
-        raw_factors = obj["factors"]
-        alpha = json_floats(obj["alpha"], "'alpha'")
-        beta = json_floats(obj["beta"], "'beta'")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"decomposition document missing/invalid field: {exc}") from exc
-    if not isinstance(raw_factors, list):
-        raise StructureError("'factors' must be a list")
-    factors = []
-    for i, rf in enumerate(raw_factors):
-        try:
-            k = json_int(rf["k"], "'k'")
-            theta = json_float(rf["theta"], "'theta'")
-            raw_char = rf["char"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructureError(f"factor {i} missing/invalid field: {exc}") from exc
-        char = complex_from_pairs(raw_char, f"factor {i} char entry")
-        factors.append(Factor(n, k, theta, char))
-    return Decomposition(
-        ambient_n=n,
-        factors=tuple(factors),
-        left_phases=np.array(alpha),
-        right_phases=np.array(beta),
-        order=order,
-    )
+    """The chain of a document that ``_rules.chain_document`` passes; its vectors are decoded
+    into the chain's arrays and checked once, with the chain."""
+    n, tag, factors, alpha, beta = chain_document(obj)
+    thetas = np.zeros(n - 1)
+    chars = np.zeros((n - 1, n - 1), dtype=np.complex128, order="F")
+    for i, (k, theta, pairs) in enumerate(factors):
+        thetas[k - 2] = theta
+        chars[: k - 1, k - 2] = complex_from_pairs(pairs, f"factor {i} char entry")
+    orders = [k for k, _, _ in factors]
+    left, right = phase_vector(np.array(alpha)), phase_vector(np.array(beta))
+    return Decomposition._of(n, orders, thetas, chars, left, right, tag)

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import (
-    DomainError, StructureError, _is_int, finite_real, json_floats, json_int, number_array,
-)
+from ._rules import char_length, symmetric_document, symmetric_shape
+from .matrix_core import DomainError, _is_int, finite_real, number_array
 from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
@@ -58,20 +57,11 @@ class SymmetricParams:
         if not _is_int(self.n):
             raise DomainError(f"order must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if self.n < 2:
-            raise DomainError(f"order must be >= 2, got {self.n}")
+        thetas, chars = tuple(self.thetas), tuple(self.real_chars)
+        symmetric_shape(self.n, thetas, chars)
         if not isinstance(self.half_angle, bool):
             raise DomainError(f"half_angle must be a bool, got {self.half_angle!r}")
-        thetas = tuple(finite_real(t, f"theta_{k}") for k, t in enumerate(self.thetas, start=2))
-        if len(thetas) != self.n - 1:
-            raise StructureError(
-                f"expected {self.n - 1} angles (theta_2..theta_{self.n}), got {len(thetas)}"
-            )
-        chars = tuple(self.real_chars)
-        if len(chars) != self.n - 1:
-            raise StructureError(
-                f"expected {self.n - 1} characteristic vectors, got {len(chars)}"
-            )
+        thetas = tuple(finite_real(t, f"theta_{k}") for k, t in enumerate(thetas, start=2))
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "real_chars", _real_chars(chars))
 
@@ -94,8 +84,7 @@ def _real_chars(chars: tuple) -> tuple:
     try:
         for i, xs in enumerate(chars):
             v = number_array(xs, float, "characteristic vector").ravel()
-            if v.size != i + 1:
-                raise DomainError("characteristic vector length")
+            char_length(i + 2, v.size)
             packed[i, : i + 1] = v
         _check_units(packed.T)
     except ValueError:  # DomainError is one
@@ -211,18 +200,4 @@ def symmetric_params_to_json_dict(p: SymmetricParams) -> dict:
 
 
 def symmetric_params_from_json_dict(obj) -> SymmetricParams:
-    if not isinstance(obj, dict):
-        raise StructureError("symmetric-params document must be a JSON object")
-    try:
-        n = json_int(obj["n"], "'n'")
-        thetas = tuple(json_floats(obj["thetas"], "'thetas'"))
-        raw_chars = obj["chars"]
-        half_angle = obj.get("half_angle", True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"symmetric-params document missing/invalid field: {exc}") from exc
-    if not isinstance(raw_chars, list):
-        raise StructureError(f"'chars' must be a list, got {type(raw_chars).__name__}")
-    if not isinstance(half_angle, bool):
-        raise StructureError(f"'half_angle' must be true or false, got {half_angle!r}")
-    chars = tuple(json_floats(xs, f"'chars' entry {i}") for i, xs in enumerate(raw_chars))
-    return SymmetricParams(n=n, thetas=thetas, real_chars=chars, half_angle=half_angle)
+    return SymmetricParams(*symmetric_document(obj))

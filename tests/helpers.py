@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import unichain
-from unichain.recursive_param import ASCENDING, Decomposition, Factor
+from unichain.recursive_param import ASCENDING, DESCENDING, Decomposition, Factor
 
 
 def cli_env():
@@ -47,6 +47,24 @@ def random_ascending_chain(rng, n, zero_phases=False):
         left = rng.uniform(-math.pi, math.pi, n)
         right = rng.uniform(-math.pi, math.pi, n)
     return Decomposition(n, factors, left, right, ASCENDING)
+
+
+def edge_chain(rng, n, order, angles):
+    """A chain over n tagged *order* (ascending or descending) with each angle drawn from
+    *angles*, exactly zero vector components (each with probability 1/3, never a whole
+    vector) and uniform phases."""
+    factors = []
+    for k in range(2, n + 1):
+        v = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
+        zero = rng.random(k - 1) < 1 / 3
+        zero[rng.integers(k - 1)] = False
+        v[zero] = 0.0
+        theta = angles[int(rng.integers(len(angles)))]
+        factors.append(Factor(n, k, theta, v / np.linalg.norm(v)))
+    if order == DESCENDING:
+        factors.reverse()
+    left, right = rng.uniform(-math.pi, math.pi, (2, n))
+    return Decomposition(n, tuple(factors), left, right, order)
 
 
 def pinned_chain_n4(rng):

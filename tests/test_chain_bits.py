@@ -15,12 +15,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import edge_chain
 from unichain.matrix_core import haar_random, wrap_angles
 from unichain.recursive_param import (
     ASCENDING,
     DESCENDING,
-    Decomposition,
-    Factor,
     compose,
     decompose,
     gauge_fix,
@@ -151,27 +150,11 @@ def test_haar_chains_match_the_references(n):
         check_chain(haar_random(n, 9000 + seed), rng)
 
 
-def edge_chain(rng, n, order):
-    """A chain with angles 0, 1e-12 and pi/2 and exactly zero vector components."""
-    factors = []
-    for k in range(2, n + 1):
-        v = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
-        zero = rng.random(k - 1) < 1 / 3
-        zero[rng.integers(k - 1)] = False
-        v[zero] = 0.0
-        theta = (0.0, 1e-12, math.pi / 2)[int(rng.integers(3))]
-        factors.append(Factor(n, k, theta, v / np.linalg.norm(v)))
-    if order == DESCENDING:
-        factors.reverse()
-    left, right = rng.uniform(-math.pi, math.pi, (2, n))
-    return Decomposition(n, tuple(factors), left, right, order)
-
-
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
 def test_edge_chains_match_the_references(n):
     rng = np.random.Generator(np.random.PCG64(950 + n))
     for i in range(6):
-        d = edge_chain(rng, n, (ASCENDING, DESCENDING)[i % 2])
+        d = edge_chain(rng, n, (ASCENDING, DESCENDING)[i % 2], (0.0, 1e-12, math.pi / 2))
         check_chain(compose(d), rng)
         for target in (range(2, n + 1), range(n, 1, -1), rng.permutation(np.arange(2, n + 1))):
             target = [int(k) for k in target]

@@ -108,7 +108,9 @@ print(json.dumps([code, ran]))
 def documents(tmp_path_factory):
     """A matrix, a chain, symmetric parameters, a two-zero texture and a non-unitary matrix;
     and documents refused before numpy loads: a truncated one, a matrix one entry short, one
-    whose order is not an integer, and one of an order over the plaquette-table cap."""
+    whose order is not an integer, a matrix and a well-formed chain of an order over the
+    plaquette-table cap, a 5-by-5 matrix, and a chain and symmetric parameters of order 10**7
+    with no factors and no angles."""
     root = tmp_path_factory.mktemp("lazy")
     x = haar_random(4, 1)
     matrix = matrix_to_json_dict(x)
@@ -121,6 +123,15 @@ def documents(tmp_path_factory):
         "one_short": {"n": 4, "entries": matrix["entries"][:-1]},
         "float_order": {**matrix, "n": 4.0},
         "order_65": {"n": 65, "entries": [[1.0, 0.0]] * 65**2},
+        "chain_65": {
+            "n": 65, "order": "ascending", "alpha": [0.0] * 65, "beta": [0.0] * 65,
+            "factors": [{"k": k, "theta": 0.0, "char": [[0.0, 0.0]] * (k - 2) + [[1.0, 0.0]]}
+                        for k in range(2, 66)],
+        },
+        "matrix_5": matrix_to_json_dict(haar_random(5, 1)),
+        "hostile_chain": {"n": 10**7, "order": "descending", "factors": [], "alpha": [],
+                          "beta": []},
+        "hostile_symmetric": {"n": 10**7, "thetas": [], "chars": []},
     }
     for name, doc in docs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
@@ -262,7 +273,8 @@ print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
 
 
 class TestRefusalsBeforeNumpy:
-    """Flags, JSON, document shapes and the table cap are checked before numpy loads."""
+    """Flags, JSON, the shape and kind of every document and each command's order rule are
+    checked before numpy loads."""
 
     def test_importing_cli_loads_no_numpy(self):
         res = _child("import sys\nimport unichain.cli\nprint('numpy' in sys.modules)")
@@ -287,10 +299,23 @@ class TestRefusalsBeforeNumpy:
         (["decompose", "--tol", "inf", "--in", "non_unitary.json"], "--tol must be finite"),
         (["verify", "--tol", "nan", "--in", "matrix.json"], "--tol must be finite"),
         (["zerotexture", "--tol", "-1", "--in", "texture.json"], "--tol must not be negative"),
+        (["compose", "--in", "hostile_chain.json"], "one factor per order 2..10000000, got 0"),
+        (["reorder", "--target", "2,3", "--in", "hostile_chain.json"], "one factor per order"),
+        (["invariants", "--in", "hostile_chain.json"], "one factor per order 2..10000000"),
+        (["compose", "--in", "hostile_symmetric.json"], "expected 9999999 angles"),
+        (["symmetric", "--in", "hostile_symmetric.json"], "expected 9999999 angles"),
+        (["reorder", "--target", "2,3,4", "--in", "matrix.json"],
+         "decomposition document missing/invalid field: 'order'"),
+        (["symmetric", "--in", "matrix.json"],
+         "symmetric-params document missing/invalid field: 'thetas'"),
+        (["zerotexture", "--in", "matrix_5.json"], "specific to n=4, got n=5"),
+        (["invariants", "--in", "chain_65.json"], "order 65 needs 4326400 plaquettes"),
     ], ids=["truncated", "truncated-chain", "truncated-symmetric", "truncated-reorder",
             "missing-file", "one-short", "one-short-panel", "float-order", "invariants-cap",
             "verify-cap", "gen-seed", "verify-seed", "canonical-desc", "decompose-tol",
-            "verify-tol", "zerotexture-tol"])
+            "verify-tol", "zerotexture-tol", "hostile-chain-compose", "hostile-chain-reorder",
+            "hostile-chain-invariants", "hostile-symmetric-compose", "hostile-symmetric",
+            "matrix-reorder", "matrix-symmetric", "zerotexture-n5", "invariants-chain-cap"])
     def test_refusal_exits_1_with_one_line_and_no_numpy(self, documents, argv, message):
         res = _child(_RUN_AND_REPORT, *argv, cwd=documents)
         assert res.returncode == 0, res.stderr

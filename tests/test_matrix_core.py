@@ -271,18 +271,25 @@ class TestNumberRuleForArrays:
 
 
 class TestToleranceRule:
-    """The two public tolerance parameters are finite reals >= 0."""
+    """The public tolerance parameters, and ``require_unitary``'s, are finite reals >= 0."""
 
     @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0, -1e-300, True,
                                      "1e-10", None, 10**400],
                              ids=["inf", "-inf", "nan", "-1", "-1e-300", "bool", "string",
                                   "none", "huge-int"])
-    @pytest.mark.parametrize("function", [decompose, zero_texture_analysis],
-                             ids=["decompose", "zero_texture_analysis"])
+    @pytest.mark.parametrize("function", [decompose, zero_texture_analysis, require_unitary],
+                             ids=["decompose", "zero_texture_analysis", "require_unitary"])
     def test_refused(self, function, tol):
         x = texture_matrix(np.random.default_rng(2))
         with pytest.raises(DomainError, match="^tol must "):
             function(x, tol=tol)
+
+    @pytest.mark.parametrize("a, tol", [(np.ones((2, 2)), math.inf), (np.eye(2), math.nan),
+                                        ([["not", "a matrix"]], -1.0)],
+                             ids=["ones-inf", "eye-nan", "before-the-matrix"])
+    def test_require_unitary_applies_it_before_reading_the_matrix(self, a, tol):
+        with pytest.raises(DomainError, match="^tol must "):
+            require_unitary(a, tol)
 
     @pytest.mark.parametrize("tol", [0, 0.0, 1e-10, np.float64(1e-9), 1])
     def test_accepted(self, tol):

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import edge_chain
 from unichain.matrix_core import (
     DomainError,
     ShapeError,
@@ -69,19 +70,6 @@ def random_chain(rng, n, order=ASCENDING):
 EPS = np.finfo(float).eps
 #: Angles at and near both ends of [0, pi/2]; 1e-160 has a column norm whose square underflows.
 EDGE_ANGLES = (0.0, 1e-160, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, math.pi / 2 - 1e-9, math.pi / 2)
-
-
-def edge_chain(rng, n):
-    """Ascending chain with angles from EDGE_ANGLES and some exactly-zero vector components."""
-    factors = []
-    for k in range(2, n + 1):
-        v = random_char(rng, k - 1)
-        zero = rng.random(k - 1) < 1 / 3
-        zero[rng.integers(k - 1)] = False
-        v[zero] = 0.0
-        factors.append(Factor(n, k, rng.choice(EDGE_ANGLES), v / np.linalg.norm(v)))
-    left, right = rng.uniform(-math.pi, math.pi, (2, n))
-    return Decomposition(n, tuple(factors), left, right, ASCENDING)
 
 
 def eq27_matrices(t2, t3, t4, x, y):
@@ -408,7 +396,7 @@ class TestDecompose:
     def test_round_trip_edge_angles_and_zero_components(self, n):
         rng = np.random.Generator(np.random.PCG64(n))
         for _ in range(20):
-            x = compose(edge_chain(rng, n))
+            x = compose(edge_chain(rng, n, ASCENDING, EDGE_ANGLES))
             assert max_abs_diff(compose(decompose(x)), x) <= 10 * n * EPS
 
     @pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-5])
@@ -739,7 +727,7 @@ class TestGaugeFix:
     def test_bit_identical_to_factor_loop_and_idempotent(self, n):
         rng = np.random.Generator(np.random.PCG64(35 + n))
         chains = [reorder_chain(decompose(haar_random(n, 500 + i)), range(2, n + 1)) for i in range(3)]
-        chains += [edge_chain(rng, n) for _ in range(3)]
+        chains += [edge_chain(rng, n, ASCENDING, EDGE_ANGLES) for _ in range(3)]
         for d in chains:
             got, ref = gauge_fix(d), _gauge_fix_by_factor(d)
             assert [f.theta for f in got.factors] == [f.theta for f in ref.factors]
@@ -1022,6 +1010,21 @@ class TestDecompositionJson:
         back = decomposition_from_json_dict(doc)
         assert max_abs_diff(compose(back), compose(d)) < 1e-14
         assert back.order == d.order
+
+    def test_count_is_compared_before_any_factor_is_read(self):
+        doc = {"n": 10**7, "order": "descending", "factors": ["not a factor"], "alpha": [],
+               "beta": []}
+        with pytest.raises(StructureError, match="order 2..10000000, got 1 factors"):
+            decomposition_from_json_dict(doc)
+
+    def test_vectors_are_checked_once(self, monkeypatch):
+        import unichain.recursive_param as rp
+
+        doc = decomposition_to_json_dict(decompose(haar_random(6, 55)))
+        checked = []
+        monkeypatch.setattr(rp, "_check_units", lambda cols: checked.append(cols.shape))
+        decomposition_from_json_dict(doc)
+        assert checked == [(5, 5)]  # the chain's whole vector array, no vector on its own
 
     def test_rejects_bad_norm(self):
         doc = {

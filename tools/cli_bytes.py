@@ -22,9 +22,11 @@ into descending and a mixed order, ``panel``, ``verify`` and
 ``zerotexture``, and ``invariants`` up to n = 16 (at n = 64 it writes
 4 064 256 plaquettes) on the matrix and on the canonical chain; two-zero textures; symmetric parameter sets through ``symmetric``
 and ``compose``; and documents that must exit 1 (non-numbers, non-lists,
-malformed or deeply nested JSON, a matrix one entry short, bad flags, tolerances that
+malformed or deeply nested JSON, a matrix one entry short, chains and symmetric parameters
+of order 10**7 with no factors or angles, a chain over the plaquette-table cap, documents of
+the wrong kind for their command, ``zerotexture`` at n = 5, bad flags, tolerances that
 are not finite or are negative) or 2 (``verify`` at a tolerance below rounding).
-OUTDIR must be empty or new.  The 526 invocations run two at a time and take
+OUTDIR must be empty or new.  The 537 invocations run two at a time and take
 under two minutes on two cores.
 """
 
@@ -57,7 +59,21 @@ def _factor(theta, char) -> dict:
     return {**_CHAIN, "factors": [{"k": 2, "theta": theta, "char": char}]}
 
 
-#: (name, command, document): documents every reader must refuse with exit 1.
+def _eye(n: int) -> dict:
+    return {"n": n, "entries": [[float(i == j), 0.0] for i in range(n) for j in range(n)]}
+
+
+#: Order 10**7 with no factors, and no angles: refused by the count, before any allocation.
+_HOSTILE_CHAIN = {"n": 10**7, "order": "descending", "factors": [], "alpha": [], "beta": []}
+_HOSTILE_SYMMETRIC = {"n": 10**7, "thetas": [], "chars": []}
+#: A well-formed ascending chain of order 65, over the plaquette-table cap.
+_CHAIN_65 = {
+    "n": 65, "order": "ascending", "alpha": [0.0] * 65, "beta": [0.0] * 65,
+    "factors": [{"k": k, "theta": 0.0, "char": [[0.0, 0.0]] * (k - 2) + [[1.0, 0.0]]}
+                for k in range(2, 66)],
+}
+
+#: (name, command and flags, document): documents every reader must refuse with exit 1.
 INVALID = [
     ("matrix-string-entries", "decompose", {"n": 2, "entries": [["1", 0], [0, 0], [0, 0], [1, 0]]}),
     ("matrix-bool-entries", "decompose", {"n": 2, "entries": [[True, 0], [0, 0], [0, 0], [1, 0]]}),
@@ -73,6 +89,17 @@ INVALID = [
     ("sym-string-thetas", "symmetric", {**_SYMMETRIC, "thetas": "12"}),
     ("sym-string-char", "symmetric", {**_SYMMETRIC, "chars": [[1], "10"]}),
     ("sym-bool-char", "compose", {**_SYMMETRIC, "chars": [[1], [False, 1]]}),
+    ("chain-hostile", "compose", _HOSTILE_CHAIN),
+    ("chain-hostile-reorder", "reorder --target 2,3", _HOSTILE_CHAIN),
+    ("chain-hostile-invariants", "invariants", _HOSTILE_CHAIN),
+    ("chain-n65-invariants", "invariants", _CHAIN_65),
+    ("sym-hostile", "symmetric", _HOSTILE_SYMMETRIC),
+    ("sym-hostile-compose", "compose", _HOSTILE_SYMMETRIC),
+    ("matrix-to-reorder", "reorder --target 2", _eye(2)),
+    ("matrix-to-symmetric", "symmetric", _eye(2)),
+    ("matrix-to-compose", "compose", _eye(2)),
+    ("sym-to-invariants", "invariants", _SYMMETRIC),
+    ("matrix-n5-zerotexture", "zerotexture", _eye(5)),
 ]
 
 
@@ -165,7 +192,7 @@ def stages() -> tuple:
                 (name, ["symmetric", "--in", f"{name}.json"], None),
                 (f"{name}-compose", ["compose", "--in", f"{name}.json"], None),
             ]
-    first += [(f"invalid-{name}", [cmd], json.dumps(doc)) for name, cmd, doc in INVALID]
+    first += [(f"invalid-{name}", cmd.split(), json.dumps(doc)) for name, cmd, doc in INVALID]
     non_unitary = {"n": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]}
     loose = json.dumps({"n": 2, "entries": [[1, 0], [0.5, 0], [0.2, 0], [1, 0]]})
     first += [
