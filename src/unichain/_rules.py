@@ -73,6 +73,20 @@ def tolerance(value, what: str) -> float:
     return value
 
 
+def integer(value, what: str, lo: int, hi: int | None = None) -> int:
+    """*value* as an int in lo..hi, no upper bound if *hi* is None: a non-integer by
+    :func:`_is_int` (a bool, a float, a string) or one out of range is a :class:`DomainError`
+    naming *what*.  The package's rule for orders, counts and seeds."""
+    if not _is_int(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        shown = value if abs(value) < 2**63 else "a huge integer"  # str() of one may raise
+        raise DomainError(f"{what} must be an integer {bounds}, got {shown}")
+    return value
+
+
 def json_int(value, what: str) -> int:
     """An integer field of a JSON document; a bool, float or string is a :class:`StructureError`."""
     if not _is_int(value):
@@ -110,8 +124,7 @@ def infer_order(orders) -> str:
 def chain_size(n: int, count: int) -> None:
     """Refuse a chain over n of *count* factors unless n >= 1 and count = n - 1.  A document
     compares its count before it reads any factor: n comes from outside and may be huge."""
-    if n < 1:
-        raise DomainError(f"ambient dimension must be >= 1, got {n}")
+    integer(n, "ambient dimension", 1)
     if count != n - 1:
         raise StructureError(
             f"chain must hold exactly one factor per order 2..{n}, got {count} factors"
@@ -144,14 +157,15 @@ def char_length(k: int, size: int) -> None:
         )
 
 
-def symmetric_shape(n: int, thetas, chars) -> None:
-    """The shape rule of a palindrome of order n: n >= 2, n - 1 angles and n - 1 vectors."""
-    if n < 2:
-        raise DomainError(f"order must be >= 2, got {n}")
+def symmetric_shape(n: int, thetas, chars) -> int:
+    """The shape rule of a palindrome of order n: an integer n >= 2 (:func:`integer`), n - 1
+    angles and n - 1 vectors.  Returns n as an int."""
+    n = integer(n, "order", 2)
     if len(thetas) != n - 1:
         raise StructureError(f"expected {n - 1} angles (theta_2..theta_{n}), got {len(thetas)}")
     if len(chars) != n - 1:
         raise StructureError(f"expected {n - 1} characteristic vectors, got {len(chars)}")
+    return n
 
 
 def _fields(obj, what: str, read) -> tuple:
@@ -170,8 +184,7 @@ def matrix_document(obj) -> tuple:
     checked to be a JSON object with an integer n >= 1 and a list of n^2 entries; the
     entries themselves are not read."""
     n, entries = _fields(obj, "matrix document", lambda o: (json_int(o["n"], "'n'"), o["entries"]))
-    if n < 1:
-        raise DomainError(f"matrix order must be >= 1, got {n}")
+    integer(n, "matrix order", 1)
     if not isinstance(entries, list) or len(entries) != n * n:
         actual = len(entries) if isinstance(entries, list) else "non-list"
         raise StructureError(f"'entries' must hold {n * n} pairs, got {actual}")
@@ -183,12 +196,6 @@ def _require_table_order(n: int) -> None:
     m = n * (n - 1) // 2
     if m * m > MAX_TABLE_ENTRIES:
         raise DomainError(f"order {n} needs {m * m} plaquettes, over the cap {MAX_TABLE_ENTRIES}")
-
-
-def _require_gen_order(n: int) -> None:
-    """Refuse a ``gen`` order over ``MAX_GEN_N``."""
-    if n > MAX_GEN_N:
-        raise DomainError(f"matrix order {n} exceeds the cap {MAX_GEN_N}")
 
 
 def _require_texture_order(n: int) -> None:

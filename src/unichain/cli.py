@@ -36,8 +36,8 @@ from itertools import combinations
 from . import invariants as inv, matrix_core as mc, recursive_param as rp, symmetric as sym
 from ._rules import (
     DEFAULT_UNITARITY_TOL, MAX_GEN_N, ConsistencyError, DomainError, StructureError,
-    _require_gen_order, _require_table_order, _require_texture_order, chain_document,
-    matrix_document, symmetric_document, tolerance,
+    _require_table_order, _require_texture_order, chain_document, integer, matrix_document,
+    symmetric_document, tolerance,
 )
 
 _EXIT_OK = 0
@@ -110,10 +110,9 @@ def _texts(values, depth: int) -> list:
 # --- I/O helpers -------------------------------------------------------------
 
 
-#: The rule each command's order must meet, applied as soon as the order is read: before
-#: ``gen`` allocates, and before a document is decoded.
+#: The rule each command's order must meet, applied as soon as the order is read, before a
+#: document is decoded.
 _ORDER_RULES = {
-    "gen": _require_gen_order,
     "invariants": _require_table_order,
     "verify": _require_table_order,
     "zerotexture": _require_texture_order,
@@ -235,14 +234,9 @@ def _area_items(areas: list):
 # --- subcommand implementations ----------------------------------------------
 
 
-def _require_seed(seed: int):
-    if seed < 0:
-        raise DomainError(f"--seed must be a non-negative integer, got {seed}")
-
-
 def _cmd_gen(args) -> int:
-    _ORDER_RULES["gen"](args.n)
-    _require_seed(args.seed)
+    integer(args.n, "--n", 1, MAX_GEN_N)  # before numpy loads and allocates
+    integer(args.seed, "--seed", 0)
     x = mc.haar_random(args.n, args.seed)
     _emit_matrix(args.out, x, args.format)
     return _EXIT_OK
@@ -438,7 +432,7 @@ def _identities(x, tol: float, seed: int, admitted: bool) -> Iterator:
 
 
 def _cmd_verify(args) -> int:
-    _require_seed(args.seed)  # the flags are refused before the input is read
+    integer(args.seed, "--seed", 0)  # the flags are refused before the input is read
     tolerance(args.tol, "--tol")
     _, x = _read(args, "matrix")
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)

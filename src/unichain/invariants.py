@@ -36,6 +36,7 @@ from .matrix_core import (
     PreconditionError,
     _is_int,
     finite_real,
+    integer,
     require_square,
     require_unitary,
     tolerance,
@@ -57,9 +58,8 @@ _BLOCK_ENTRIES = 8192
 
 def count_independent_phases(n: int) -> int:
     """Number of independent invariant phases of an n-by-n unitary."""
-    if not _is_int(n) or n < 1:
-        raise DomainError(f"matrix order must be an integer >= 1, got {n!r}")
-    return (int(n) - 1) * (int(n) - 2) // 2
+    n = integer(n, "matrix order", 1)
+    return (n - 1) * (n - 2) // 2
 
 
 def _check_indices(idx, n: int, what: str, count: int, distinct: bool = True) -> tuple:

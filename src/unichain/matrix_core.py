@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rules import (  # noqa: F401  (the package exports the rules from here)
     DEFAULT_EQUALITY_TOL, DEFAULT_UNITARITY_TOL, ConsistencyError, DomainError,
-    PreconditionError, ShapeError, StructureError, _is_int, finite_real, json_float,
+    PreconditionError, ShapeError, StructureError, _is_int, finite_real, integer, json_float,
     json_floats, json_int, matrix_document, tolerance,
 )
 
@@ -146,16 +146,11 @@ def haar_random(n: int, seed: int) -> np.ndarray:
     Gaussian matrix" (biased) into an exactly Haar-distributed sample.
 
     The generator is PCG64 seeded with *seed*; identical (n, seed) give
-    bitwise-identical output.  *n* and *seed* must be integers by the
-    package's rule (a bool is not one) and *seed* non-negative; anything
+    bitwise-identical output.  *n* >= 1 and *seed* >= 0 must be integers
+    by the package's rule (:func:`integer`; a bool is not one); anything
     else, ``None`` included, is a :class:`DomainError`.
     """
-    if not _is_int(n):
-        raise DomainError(f"matrix order n must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"matrix order must be >= 1, got {n}")
-    if not _is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    n, seed = integer(n, "matrix order", 1), integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -49,6 +49,7 @@ from .matrix_core import (
     complex_from_pairs,
     complex_to_pairs,
     finite_real,
+    integer,
     maxnorm,
     number_array,
     phase_vector,
@@ -120,13 +121,10 @@ class Factor:
     char: np.ndarray
 
     def __post_init__(self):
-        n, k = self.ambient_n, self.order_k
-        if not (_is_int(n) and _is_int(k)):
-            raise DomainError(f"ambient_n and order_k must be integers, got {n!r} and {k!r}")
-        if n < 2:
-            raise DomainError(f"ambient dimension must be >= 2, got {n}")
-        if not (2 <= k <= n):
-            raise DomainError(f"factor order must satisfy 2 <= k <= n, got k={k}, n={n}")
+        n = integer(self.ambient_n, "ambient_n", 2)
+        k = integer(self.order_k, "order_k", 2, n)
+        object.__setattr__(self, "ambient_n", n)
+        object.__setattr__(self, "order_k", k)
         object.__setattr__(self, "theta", finite_real(self.theta, "theta"))
         v = _as_char(self.char, k)
         v.setflags(write=False)
@@ -265,10 +263,8 @@ class Decomposition:
     chars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.ambient_n
-        if not _is_int(n):
-            raise DomainError(f"ambient_n must be an integer, got {n!r}")
-        object.__setattr__(self, "ambient_n", int(n))
+        n = integer(self.ambient_n, "ambient_n", 1)
+        object.__setattr__(self, "ambient_n", n)
         factors = tuple(self.factors)
         ks = [f.order_k for f in factors]
         left = phase_vector(self.left_phases).copy()

@@ -24,17 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rules import char_length, symmetric_document, symmetric_shape
-from .matrix_core import DomainError, _is_int, finite_real, number_array
+from .matrix_core import DomainError, finite_real, integer, number_array
 from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
 
 
 def sym_param_count(n: int) -> int:
     """Free real parameters of the symmetric construction: n(n-1)/2."""
-    if not _is_int(n):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainError(f"order must be >= 2, got {n}")
-    return int(n) * (int(n) - 1) // 2
+    n = integer(n, "order", 2)
+    return n * (n - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +51,8 @@ class SymmetricParams:
     half_angle: bool = True
 
     def __post_init__(self):
-        if not _is_int(self.n):
-            raise DomainError(f"order must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
         thetas, chars = tuple(self.thetas), tuple(self.real_chars)
-        symmetric_shape(self.n, thetas, chars)
+        object.__setattr__(self, "n", symmetric_shape(self.n, thetas, chars))
         if not isinstance(self.half_angle, bool):
             raise DomainError(f"half_angle must be a bool, got {self.half_angle!r}")
         thetas = tuple(finite_real(t, f"theta_{k}") for k, t in enumerate(thetas, start=2))

@@ -410,7 +410,7 @@ class TestDiagnosticsAndDeterminism:
         flags = ["--n", "4"] if command == "gen" else ["--in", str(tmp_path / "missing.json")]
         res = run_cli([command, *flags, "--seed", "-1"])
         assert res.returncode == 1 and res.stdout == ""
-        assert res.stderr == f"unichain {command}: invalid input: --seed must be a non-negative integer, got -1\n"
+        assert res.stderr == f"unichain {command}: invalid input: --seed must be an integer >= 0, got -1\n"
 
     def test_help_exits_0(self):
         for argv in (["--help"], ["gen", "--help"]):
@@ -469,7 +469,7 @@ class TestOversizedInput:
             ["gen", "--n", "1000000", "--seed", "1"], timeout=10, preexec_fn=_limit_address_space
         )
         assert proc.returncode == 1, proc.stderr
-        assert f"exceeds the cap {MAX_GEN_N}" in proc.stderr
+        assert f"--n must be an integer in 1..{MAX_GEN_N}, got 1000000" in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_table_commands_refuse_order_above_cap(self, monkeypatch):

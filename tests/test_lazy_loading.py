@@ -292,7 +292,10 @@ class TestRefusalsBeforeNumpy:
         (["decompose", "--in", "float_order.json"], "'n' must be an integer, got 4.0"),
         (["invariants", "--in", "order_65.json"], "order 65 needs 4326400 plaquettes"),
         (["verify", "--in", "order_65.json"], "order 65 needs 4326400 plaquettes"),
-        (["gen", "--n", "4", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["gen", "--n", "4", "--seed", "-1"], "--seed must be an integer >= 0"),
+        (["gen", "--n", "0", "--seed", "1"], "--n must be an integer in 1..1024, got 0"),
+        (["gen", "--n", "-3", "--seed", "1"], "--n must be an integer in 1..1024, got -3"),
+        (["gen", "--n", "1025", "--seed", "1"], "--n must be an integer in 1..1024, got 1025"),
         (["verify", "--seed", "-1", "--in", "matrix.json"], "--seed must be"),
         (["decompose", "--gauge", "canonical", "--order", "desc", "--in", "matrix.json"],
          "canonical gauge is defined on ascending chains"),
@@ -312,8 +315,8 @@ class TestRefusalsBeforeNumpy:
         (["invariants", "--in", "chain_65.json"], "order 65 needs 4326400 plaquettes"),
     ], ids=["truncated", "truncated-chain", "truncated-symmetric", "truncated-reorder",
             "missing-file", "one-short", "one-short-panel", "float-order", "invariants-cap",
-            "verify-cap", "gen-seed", "verify-seed", "canonical-desc", "decompose-tol",
-            "verify-tol", "zerotexture-tol", "hostile-chain-compose", "hostile-chain-reorder",
+            "verify-cap", "gen-seed", "gen-n0", "gen-n-3", "gen-cap", "verify-seed",
+            "canonical-desc", "decompose-tol", "verify-tol", "zerotexture-tol", "hostile-chain-compose", "hostile-chain-reorder",
             "hostile-chain-invariants", "hostile-symmetric-compose", "hostile-symmetric",
             "matrix-reorder", "matrix-symmetric", "zerotexture-n5", "invariants-chain-cap"])
     def test_refusal_exits_1_with_one_line_and_no_numpy(self, documents, argv, message):

@@ -12,10 +12,13 @@ from unichain import (
     SymmetricParams,
     apply_factor,
     block,
+    count_independent_phases,
     decompose,
     plaquette_table,
+    sym_param_count,
     zero_texture_analysis,
 )
+from unichain._rules import integer
 from unichain.matrix_core import (
     DomainError,
     ShapeError,
@@ -127,12 +130,12 @@ class TestHaarRandom:
     # numpy's own ValueError or TypeError.
     @pytest.mark.parametrize("seed", [None, True, False, -1, 2.5, "3", [1, 2]])
     def test_seed_outside_the_integer_rule_raises(self, seed):
-        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        with pytest.raises(DomainError, match="seed must be an integer"):
             haar_random(3, seed)
 
     @pytest.mark.parametrize("n", [True, "2", 2.0, None])
     def test_order_outside_the_integer_rule_raises(self, n):
-        with pytest.raises(DomainError, match="matrix order n must be an integer"):
+        with pytest.raises(DomainError, match="matrix order must be an integer"):
             haar_random(n, 1)
 
     def test_numpy_integers_pass(self):
@@ -297,3 +300,58 @@ class TestToleranceRule:
         x = texture_matrix(np.random.default_rng(2))
         if 0 < tol < 1:  # the composed zeros are not all exact; 1 takes every entry for one
             assert zero_texture_analysis(x, tol=tol).vanishing_count == 19
+
+
+#: Each public entry point that takes an order or a seed, as a call on that one argument.
+_INTEGER_ARGUMENTS = {
+    "haar_random-n": lambda v: haar_random(v, 1),
+    "haar_random-seed": lambda v: haar_random(3, v),
+    "count_independent_phases": count_independent_phases,
+    "sym_param_count": sym_param_count,
+    "SymmetricParams-n": lambda v: SymmetricParams(v, (0.1, 0.2), ([1.0], [0.6, 0.8])),
+    "Factor-ambient_n": lambda v: Factor(v, 2, 0.1, [1.0]),
+    "Factor-order_k": lambda v: Factor(4, v, 0.1, [0.6, 0.8]),
+    "Decomposition-ambient_n": lambda v: Decomposition(
+        v, (Factor(3, 2, 0.1, [1.0]), Factor(3, 3, 0.2, [0.6, 0.8])), [0, 0, 0], [0, 0, 0],
+        "ascending",
+    ),
+}
+
+
+class TestIntegerRule:
+    """Orders, counts and seeds are integers in an inclusive range by one rule: a bool, a
+    float, a string or None is a DomainError, and a numpy integer passes as an int."""
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "an integer, got True"),
+        (np.bool_(True), "an integer, got "),  # the repr differs between numpy versions
+        (3.0, "an integer, got 3.0"),
+        ("3", "an integer, got '3'"),
+        (None, "an integer, got None"),
+        (10**5000, "an integer in 1..9, got a huge integer"),
+        (-10**5000, "an integer in 1..9, got a huge integer"),
+        (0, "an integer in 1..9, got 0"),
+        (10, "an integer in 1..9, got 10"),
+    ], ids=["bool", "numpy-bool", "float", "string", "none", "huge", "huge-negative",
+            "below", "above"])
+    def test_refused(self, value, message):
+        with pytest.raises(DomainError) as info:
+            integer(value, "n", 1, 9)
+        assert str(info.value).startswith("n must be " + message)
+
+    @pytest.mark.parametrize("value", [1, 9, np.int64(1), np.uint8(9), np.int32(5)])
+    def test_bounds_are_inclusive_and_the_result_an_int(self, value):
+        out = integer(value, "n", 1, 9)
+        assert type(out) is int and out == value
+
+    def test_no_upper_bound_without_hi(self):
+        assert integer(10**5000, "seed", 0) == 10**5000
+        with pytest.raises(DomainError, match="^seed must be an integer >= 0, got -1$"):
+            integer(-1, "seed", 0)
+
+    @pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+    def test_public_entry_points(self, call):
+        for value in (True, 3.0):
+            with pytest.raises(DomainError, match="must be an integer, got "):
+                call(value)
+        call(np.int64(3))

@@ -24,10 +24,10 @@ into descending and a mixed order, ``panel``, ``verify`` and
 and ``compose``; and documents that must exit 1 (non-numbers, non-lists,
 malformed or deeply nested JSON, a matrix one entry short, chains and symmetric parameters
 of order 10**7 with no factors or angles, a chain over the plaquette-table cap, documents of
-the wrong kind for their command, ``zerotexture`` at n = 5, bad flags, tolerances that
-are not finite or are negative) or 2 (``verify`` at a tolerance below rounding).
-OUTDIR must be empty or new.  The 537 invocations run two at a time and take
-under two minutes on two cores.
+the wrong kind for their command, ``zerotexture`` at n = 5, bad flags, ``gen`` orders 0
+and -3, tolerances that are not finite or are negative) or 2 (``verify`` at a tolerance
+below rounding).  OUTDIR must be empty or new.  The 539 invocations run two at a time
+and take under two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -207,6 +207,8 @@ def stages() -> tuple:
         ("invalid-missing-input", ["decompose", "--in", "missing.json"], None),
         ("invalid-unwritable-out", ["gen", "--n", "2", "--seed", "1", "--out", "missing/x"], None),
         ("invalid-bad-flag", ["gen", "--n", "2"], None),
+        ("invalid-gen-order-0", ["gen", "--n", "0", "--seed", "1"], None),
+        ("invalid-gen-order-negative", ["gen", "--n", "-3", "--seed", "1"], None),
         ("invalid-reorder-target", ["reorder", "--target", "2,2"], json.dumps(_CHAIN)),
         ("verify-non-unitary", ["verify"], json.dumps(non_unitary)),
         ("help", ["--help"], None),
