@@ -37,19 +37,20 @@ class _LazyModule(types.ModuleType):
         return read(self, attr)
 
 
-#: Each module of the package and the public names it exports here.
+#: Each module of the package and the public names it exports here; ``_rules`` needs no numpy.
 _EXPORTS = {
+    "_rules": (
+        "ASCENDING", "CUSTOM", "DESCENDING", "DEFAULT_EQUALITY_TOL", "DEFAULT_UNITARITY_TOL",
+        "ConsistencyError", "DomainError", "PreconditionError", "ShapeError", "StructureError",
+    ),
     "matrix_core": (
-        "DEFAULT_EQUALITY_TOL", "DEFAULT_UNITARITY_TOL", "ConsistencyError", "DomainError",
-        "PreconditionError", "ShapeError", "StructureError", "haar_random",
-        "matrix_from_json_dict", "matrix_to_json_dict", "max_abs_diff", "maxnorm",
+        "haar_random", "matrix_from_json_dict", "matrix_to_json_dict", "max_abs_diff", "maxnorm",
         "phase_matrix", "require_unitary", "unitarity_defect", "wrap_angle",
     ),
     "recursive_param": (
-        "ASCENDING", "CUSTOM", "DESCENDING", "Decomposition", "Factor", "Generator",
-        "apply_factor", "block", "compose", "decompose", "decomposition_from_json_dict",
-        "decomposition_to_json_dict", "embed", "exp_generator", "gauge_fix", "generator",
-        "in_canonical_gauge", "reorder_chain", "reorder_swap",
+        "Decomposition", "Factor", "Generator", "apply_factor", "block", "compose", "decompose",
+        "decomposition_from_json_dict", "decomposition_to_json_dict", "embed", "exp_generator",
+        "gauge_fix", "generator", "in_canonical_gauge", "reorder_chain", "reorder_swap",
     ),
     "invariants": (
         "OmegaSet", "PanelLattice", "PlaquetteTable", "ZeroTextureReport", "apply_symmetry",
@@ -65,7 +66,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [*_EXPORTS, *_MODULE_OF]
+__all__ = [*(module for module in _EXPORTS if module != "_rules"), *_MODULE_OF]
 __version__ = "0.1.0"
 
 

@@ -1,6 +1,6 @@
 """The package's input rules that need no numpy: error classes, tolerances, number rules,
-the order rules of chains and palindromes, the order caps of ``gen``, plaquette tables and
-zero textures, and the shape of each JSON document: a matrix, a chain, symmetric parameters.
+the order rules of chains, reorder targets, palindromes, panel lattices and zero textures, the
+order caps of ``gen`` and plaquette tables, and the shape of each JSON document.
 
 The layers import these names and export them as their own, so each rule has this one
 implementation; a constructor and the reader of its document call the same rule.  The CLI
@@ -202,6 +202,21 @@ def _require_texture_order(n: int) -> None:
     """Refuse a zero-texture analysis of an order other than 4."""
     if n != 4:
         raise DomainError(f"zero-texture analysis is specific to n=4, got n={n}")
+
+
+def _require_panel_order(n: int) -> None:
+    """Refuse a panel lattice of an order below 2: it has no panel."""
+    if n < 2:
+        raise DomainError("panel lattice needs n >= 2")
+
+
+def permutation(target, n: int) -> tuple:
+    """*target* as a tuple of ints: integers by :func:`_is_int` holding each order 2..n once,
+    or else a :class:`DomainError`.  The rule of a chain's reorder target."""
+    target = list(target)
+    if not all(map(_is_int, target)) or sorted(target) != list(range(2, n + 1)):
+        raise DomainError(f"target {target} is not a permutation of 2..{n}")
+    return tuple(map(int, target))
 
 
 def chain_document(obj) -> tuple:

@@ -36,8 +36,8 @@ from itertools import combinations
 from . import invariants as inv, matrix_core as mc, recursive_param as rp, symmetric as sym
 from ._rules import (
     DEFAULT_UNITARITY_TOL, MAX_GEN_N, ConsistencyError, DomainError, StructureError,
-    _require_table_order, _require_texture_order, chain_document, integer, matrix_document,
-    symmetric_document, tolerance,
+    _require_panel_order, _require_table_order, _require_texture_order, chain_document, integer,
+    matrix_document, permutation, symmetric_document, tolerance,
 )
 
 _EXIT_OK = 0
@@ -110,14 +110,6 @@ def _texts(values, depth: int) -> list:
 # --- I/O helpers -------------------------------------------------------------
 
 
-#: The rule each command's order must meet, applied as soon as the order is read, before a
-#: document is decoded.
-_ORDER_RULES = {
-    "invariants": _require_table_order,
-    "verify": _require_table_order,
-    "zerotexture": _require_texture_order,
-}
-
 #: Each document kind: the key that marks it, its name, its shape rule (the order first) and
 #: its layer's reader, looked up when called so the layer loads then; it applies the rule again.
 _KINDS = {
@@ -129,10 +121,10 @@ _KINDS = {
 }
 
 
-def _read(args, *kinds) -> tuple:
+def _read(args, *kinds, order=None) -> tuple:
     """The kind of the JSON document at ``args.infile`` ("-" for stdin) and the document,
-    decoded once its shape and the command's order rule have passed.  Its kind is the first
-    of *kinds* whose key it holds, or else the only one of *kinds*."""
+    decoded once its shape and ``order(n)``, the command's rule for its order n, have passed.
+    Its kind is the first of *kinds* whose key it holds, or else the only one of *kinds*."""
     path = args.infile
     try:
         if path == "-":
@@ -157,8 +149,8 @@ def _read(args, *kinds) -> tuple:
     kind = (found or kinds)[0]
     _, _, rule, reader = _KINDS[kind]
     n = rule(obj)[0]
-    if args.command in _ORDER_RULES:
-        _ORDER_RULES[args.command](n)
+    if order is not None:
+        order(n)
     return kind, reader(obj)
 
 
@@ -270,13 +262,13 @@ def _cmd_reorder(args) -> int:
         target = [int(tok) for tok in args.target.split(",")]
     except ValueError as exc:
         raise DomainError(f"--target must be comma-separated integers: {exc}") from exc
-    _, d = _read(args, "chain")
+    _, d = _read(args, "chain", order=lambda n: permutation(target, n))
     _emit_json(args.out, rp.decomposition_to_json_dict(rp.reorder_chain(d, target)))
     return _EXIT_OK
 
 
 def _cmd_invariants(args) -> int:
-    kind, x = _read(args, "matrix", "chain")
+    kind, x = _read(args, "matrix", "chain", order=_require_table_order)
     omegas = {}
     if kind == "chain":
         d, x = x, rp.compose(x)
@@ -294,7 +286,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    _, x = _read(args, "matrix")
+    _, x = _read(args, "matrix", order=_require_panel_order)
     lat = inv.panel_lattice(x)
     payload = {
         "n": lat.n,
@@ -315,21 +307,12 @@ def _cmd_panel(args) -> int:
 
 def _cmd_zerotexture(args) -> int:
     tolerance(args.tol, "--tol")
-    _, x = _read(args, "matrix")
+    _, x = _read(args, "matrix", order=_require_texture_order)
     rep = inv.zero_texture_analysis(x, tol=args.tol)
-    payload = {
-        "J": rep.J,
-        "J_prime": rep.J_prime,
-        "ratio": rep.ratio,
-        "vanishing_count": rep.vanishing_count,
-        "J_closed_form": rep.J_closed_form,
-        "J_prime_closed_form": rep.J_prime_closed_form,
-        "modulus_ratio_sq": rep.modulus_ratio_sq,
-        "zeros": [list(z) for z in rep.zeros],
-        "row_map": list(rep.row_map),
-        "col_map": list(rep.col_map),
+    payload = {  # the report's fields in order; tuples render as JSON lists
+        **vars(rep),
         "sign_pattern": [
-            {"rows": list(rows), "cols": list(cols), "label": label}
+            {"rows": rows, "cols": cols, "label": label}
             for (rows, cols), label in rep.sign_pattern.items()
         ],
         "triangle_areas": _area_items(rep.triangle_areas),
@@ -434,7 +417,7 @@ def _identities(x, tol: float, seed: int, admitted: bool) -> Iterator:
 def _cmd_verify(args) -> int:
     integer(args.seed, "--seed", 0)  # the flags are refused before the input is read
     tolerance(args.tol, "--tol")
-    _, x = _read(args, "matrix")
+    _, x = _read(args, "matrix", order=_require_table_order)
     checks = _verify_checks(x, tol=args.tol, seed=args.seed)
     max_residual = max(c["residual"] for c in checks)
     ok = all(c["ok"] for c in checks)

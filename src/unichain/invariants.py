@@ -28,7 +28,9 @@ from itertools import combinations
 import numpy as np
 
 from . import recursive_param as rp
-from ._rules import MAX_TABLE_ENTRIES, _require_table_order, _require_texture_order  # noqa: F401
+from ._rules import (  # noqa: F401
+    MAX_TABLE_ENTRIES, _require_panel_order, _require_table_order, _require_texture_order,
+)
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
     DEFAULT_UNITARITY_TOL,
@@ -351,8 +353,7 @@ class PanelLattice:
 
 def panel_lattice(x) -> PanelLattice:
     x = require_unitary(x)
-    if x.shape[0] < 2:
-        raise DomainError("panel lattice needs n >= 2")
+    _require_panel_order(x.shape[0])
     return _panel_lattice(x)
 
 
@@ -583,21 +584,21 @@ class ZeroTextureReport:
     J'/J obtained by re-parameterising the matrix; ``sign_pattern`` maps
     each canonical plaquette to its place in the {+-J, +-J', J+J', 0}
     classification; ``triangle_areas`` holds the eight non-degenerate
-    triangle areas (labelled, standard frame).
+    triangle areas (labelled, standard frame).  Fields run in ``zerotexture``'s key order.
     """
 
     J: float
     J_prime: float
     ratio: float
     vanishing_count: int
-    sign_pattern: dict
-    triangle_areas: tuple
     J_closed_form: float
     J_prime_closed_form: float
     modulus_ratio_sq: dict
     zeros: tuple
     row_map: tuple
     col_map: tuple
+    sign_pattern: dict
+    triangle_areas: tuple
 
 
 #: The eight triangles of the standard texture frame: the same four pairs of rows and of columns.
@@ -702,12 +703,12 @@ def zero_texture_analysis(x, tol: float = 1e-9) -> ZeroTextureReport:
         J_prime=float(jp_val),
         ratio=float(ratio),
         vanishing_count=int(vanishing),
-        sign_pattern=sign_pattern,
-        triangle_areas=tri,
         J_closed_form=float(j_closed),
         J_prime_closed_form=float(jp_closed),
         modulus_ratio_sq={k: float(v) for k, v in modulus_ratio_sq.items()},
         zeros=zeros,
         row_map=tuple(i + 1 for i in row_order),
         col_map=tuple(i + 1 for i in col_order),
+        sign_pattern=sign_pattern,
+        triangle_areas=tri,
     )

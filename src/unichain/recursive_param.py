@@ -37,6 +37,7 @@ import numpy as np
 
 from ._rules import (  # noqa: F401  (the order tags and infer_order are exported here)
     ASCENDING, CUSTOM, DESCENDING, chain_document, chain_shape, char_length, infer_order,
+    permutation,
 )
 from .matrix_core import (
     DEFAULT_EQUALITY_TOL,
@@ -490,10 +491,8 @@ def reorder_chain(d: Decomposition, target) -> Decomposition:
     sweep conjugates each vector when it is final.
     The result holds no link to *d*: its factors are views of its own arrays.
     """
-    target, n = list(target), d.ambient_n
-    if not all(map(_is_int, target)) or sorted(target) != list(range(2, n + 1)):
-        raise DomainError(f"target {target} is not a permutation of 2..{n}")
-    target = tuple(map(int, target))
+    n = d.ambient_n
+    target = permutation(target, n)
     sources, targets, order = _sweep_plan(tuple(d.orders.tolist()), target)
     src, thetas = d.chars, d.thetas.tolist()
     # Column k - 2 holds the order-k vector; a block of order l touches only

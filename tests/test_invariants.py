@@ -504,6 +504,12 @@ class TestPanelLattice:
         assert lat.panel(np.int64(3), np.int32(3)) == complex(lat.panels[2, 2])
         assert lat.panel(1, 1) == complex(lat.panels[0, 0])
 
+    def test_order_1_refused_after_the_unitarity_check(self):
+        with pytest.raises(DomainError, match="^panel lattice needs n >= 2$"):
+            panel_lattice(np.array([[1j]]))
+        with pytest.raises(DomainError, match="^input is not unitary"):
+            panel_lattice(np.array([[2.0]]))
+
 
 class TestPanelRelations:
     def test_z_identity_oracle(self):

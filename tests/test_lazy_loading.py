@@ -72,6 +72,22 @@ class TestPublicNames:
         assert all(namespace[name] is getattr(unichain, name) for name in unichain.__all__)
         assert set(unichain.__all__) | {"__version__"} <= set(dir(unichain))
 
+    def test_names_of_the_rules_module_load_no_numpy(self):
+        # the error classes, tolerances and order tags are read from the numpy-free _rules
+        names = ["ASCENDING", "CUSTOM", "DESCENDING", "DEFAULT_EQUALITY_TOL",
+                 "DEFAULT_UNITARITY_TOL", "ConsistencyError", "DomainError", "PreconditionError",
+                 "ShapeError", "StructureError"]
+        res = _child(
+            "import sys, unichain\n"
+            "values = [getattr(unichain, name) for name in sys.argv[1:]]\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('unichain', 'numpy'))))\n"
+            "print(all(v is getattr(sys.modules['unichain._rules'], n)\n"
+            "          for v, n in zip(values, sys.argv[1:])))\n",
+            *names,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["['unichain', 'unichain._rules']", "True"]
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="'unichain' has no attribute 'no_such_name'"):
             unichain.no_such_name  # noqa: B018
@@ -109,7 +125,7 @@ def documents(tmp_path_factory):
     """A matrix, a chain, symmetric parameters, a two-zero texture and a non-unitary matrix;
     and documents refused before numpy loads: a truncated one, a matrix one entry short, one
     whose order is not an integer, a matrix and a well-formed chain of an order over the
-    plaquette-table cap, a 5-by-5 matrix, and a chain and symmetric parameters of order 10**7
+    plaquette-table cap, a 5-by-5 and a 1-by-1 matrix, and a chain and symmetric parameters of order 10**7
     with no factors and no angles."""
     root = tmp_path_factory.mktemp("lazy")
     x = haar_random(4, 1)
@@ -129,6 +145,7 @@ def documents(tmp_path_factory):
                         for k in range(2, 66)],
         },
         "matrix_5": matrix_to_json_dict(haar_random(5, 1)),
+        "matrix_1": matrix_to_json_dict(haar_random(1, 1)),
         "hostile_chain": {"n": 10**7, "order": "descending", "factors": [], "alpha": [],
                           "beta": []},
         "hostile_symmetric": {"n": 10**7, "thetas": [], "chars": []},
@@ -313,12 +330,20 @@ class TestRefusalsBeforeNumpy:
          "symmetric-params document missing/invalid field: 'thetas'"),
         (["zerotexture", "--in", "matrix_5.json"], "specific to n=4, got n=5"),
         (["invariants", "--in", "chain_65.json"], "order 65 needs 4326400 plaquettes"),
+        (["reorder", "--target", "2,2,3", "--in", "chain.json"],
+         "target [2, 2, 3] is not a permutation of 2..4"),
+        (["reorder", "--target", "2,3", "--in", "chain.json"],
+         "target [2, 3] is not a permutation of 2..4"),
+        (["reorder", "--target", "2,3,4,5", "--in", "chain.json"],
+         "target [2, 3, 4, 5] is not a permutation of 2..4"),
+        (["panel", "--in", "matrix_1.json"], "panel lattice needs n >= 2"),
     ], ids=["truncated", "truncated-chain", "truncated-symmetric", "truncated-reorder",
             "missing-file", "one-short", "one-short-panel", "float-order", "invariants-cap",
             "verify-cap", "gen-seed", "gen-n0", "gen-n-3", "gen-cap", "verify-seed",
             "canonical-desc", "decompose-tol", "verify-tol", "zerotexture-tol", "hostile-chain-compose", "hostile-chain-reorder",
             "hostile-chain-invariants", "hostile-symmetric-compose", "hostile-symmetric",
-            "matrix-reorder", "matrix-symmetric", "zerotexture-n5", "invariants-chain-cap"])
+            "matrix-reorder", "matrix-symmetric", "zerotexture-n5", "invariants-chain-cap",
+            "reorder-repeated", "reorder-short", "reorder-long", "panel-n1"])
     def test_refusal_exits_1_with_one_line_and_no_numpy(self, documents, argv, message):
         res = _child(_RUN_AND_REPORT, *argv, cwd=documents)
         assert res.returncode == 0, res.stderr

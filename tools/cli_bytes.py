@@ -23,11 +23,13 @@ into descending and a mixed order, ``panel``, ``verify`` and
 4 064 256 plaquettes) on the matrix and on the canonical chain; two-zero textures; symmetric parameter sets through ``symmetric``
 and ``compose``; and documents that must exit 1 (non-numbers, non-lists,
 malformed or deeply nested JSON, a matrix one entry short, chains and symmetric parameters
-of order 10**7 with no factors or angles, a chain over the plaquette-table cap, documents of
-the wrong kind for their command, ``zerotexture`` at n = 5, bad flags, ``gen`` orders 0
-and -3, tolerances that are not finite or are negative) or 2 (``verify`` at a tolerance
-below rounding).  OUTDIR must be empty or new.  The 539 invocations run two at a time
-and take under two minutes on two cores.
+of order 10**7 with no factors or angles, a matrix and a chain of order 0, symmetric
+parameters of order 1, a chain over the plaquette-table cap, documents of the wrong kind for
+their command, ``zerotexture`` at n = 5, ``panel`` on a non-unitary 1-by-1 matrix, reorder
+targets with a repeated order or of the wrong length, bad flags, ``gen`` orders 0 and -3,
+negative seeds of ``gen`` and ``verify``, tolerances that are not finite or are negative) or
+2 (``verify`` at a tolerance below rounding).  OUTDIR must be empty or new.  The 546
+invocations run two at a time and take under two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ INVALID = [
     ("matrix-to-compose", "compose", _eye(2)),
     ("sym-to-invariants", "invariants", _SYMMETRIC),
     ("matrix-n5-zerotexture", "zerotexture", _eye(5)),
+    ("matrix-order-0", "decompose", {"n": 0, "entries": []}),
+    ("chain-order-0", "compose", {**_HOSTILE_CHAIN, "n": 0}),
+    ("sym-order-1", "symmetric", {"n": 1, "thetas": [], "chars": []}),
+    ("chain-reorder-target-length", "reorder --target 2,3", _CHAIN),
+    ("matrix-n1-non-unitary-panel", "panel", {"n": 1, "entries": [[2, 0]]}),
+    ("verify-seed-negative", "verify --seed -1", _eye(2)),
 ]
 
 
@@ -209,6 +217,7 @@ def stages() -> tuple:
         ("invalid-bad-flag", ["gen", "--n", "2"], None),
         ("invalid-gen-order-0", ["gen", "--n", "0", "--seed", "1"], None),
         ("invalid-gen-order-negative", ["gen", "--n", "-3", "--seed", "1"], None),
+        ("invalid-gen-seed-negative", ["gen", "--n", "2", "--seed", "-1"], None),
         ("invalid-reorder-target", ["reorder", "--target", "2,2"], json.dumps(_CHAIN)),
         ("verify-non-unitary", ["verify"], json.dumps(non_unitary)),
         ("help", ["--help"], None),
