@@ -19,13 +19,13 @@ the same matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rules import char_length, symmetric_document, symmetric_shape
+from ._rules import ASCENDING, char_length, symmetric_document, symmetric_shape
 from .matrix_core import DomainError, finite_real, integer, number_array
-from .recursive_param import Factor, _apply_block, _as_char, _check_units, embed
+from .recursive_param import Decomposition, Factor, _as_char, _check_units, compose, embed
 
 
 def sym_param_count(n: int) -> int:
@@ -38,17 +38,17 @@ def sym_param_count(n: int) -> int:
 class SymmetricParams:
     """Angles and real characteristic vectors of a palindromic chain.
 
-    ``thetas`` holds theta_2 .. theta_n; ``real_chars`` one real unit
-    vector of length k-1 per order k = 2 .. n (the imaginary unit is
-    applied inside :func:`sym_factor`, keeping the parameter count
-    manifest).  ``half_angle`` selects the half-angle convention for the
-    inner factors.
+    ``thetas`` holds theta_2 .. theta_n.  ``chars`` holds the real unit vectors, read-only,
+    in the layout of ``Decomposition.chars`` (column k - 2 the order-k vector), and
+    ``real_chars`` are views of its columns.  The products apply the imaginary unit, keeping
+    the parameter count manifest.  ``half_angle`` selects the half-angle convention.
     """
 
     n: int
     thetas: tuple
     real_chars: tuple
     half_angle: bool = True
+    chars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         thetas, chars = tuple(self.thetas), tuple(self.real_chars)
@@ -57,38 +57,38 @@ class SymmetricParams:
             raise DomainError(f"half_angle must be a bool, got {self.half_angle!r}")
         thetas = tuple(finite_real(t, f"theta_{k}") for k, t in enumerate(thetas, start=2))
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "real_chars", _real_chars(chars))
+        chars = _real_chars(chars)
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "real_chars", tuple(chars[: i + 1, i] for i in range(len(chars))))
 
     def theta(self, k: int) -> float:
-        return self.thetas[k - 2]
+        return self.thetas[integer(k, "order", 2, self.n) - 2]
 
     def char(self, k: int) -> np.ndarray:
-        return self.real_chars[k - 2]
+        return self.real_chars[integer(k, "order", 2, self.n) - 2]
 
 
-def _real_chars(chars: tuple) -> tuple:
-    """Read-only copies of the real vectors of orders 2 .. len(chars) + 1, checked in one pass.
+def _real_chars(chars: tuple) -> np.ndarray:
+    """One read-only array of the real vectors of orders 2 .. len(chars) + 1, checked in one pass.
 
-    Row k - 2 of one zero-padded array holds the order-k vector, so its transpose has a
-    chain's layout and goes through the one unit-vector rule.  On any failure the vectors
-    are checked again one at a time, so the first failing vector raises its own error.
+    Column k - 2 of the zero-padded array holds the order-k vector, a chain's layout, so it
+    goes through the one unit-vector rule.  On any failure the vectors are checked again one
+    at a time, so the first failing vector raises its own error.
     """
     m = len(chars)
-    packed = np.zeros((m, m))
+    packed = np.zeros((m, m), order="F")
     try:
         for i, xs in enumerate(chars):
             v = number_array(xs, float, "characteristic vector").ravel()
             char_length(i + 2, v.size)
-            packed[i, : i + 1] = v
-        _check_units(packed.T)
+            packed[: i + 1, i] = v
+        _check_units(packed)
     except ValueError:  # DomainError is one
-        vectors = tuple(_as_char(xs, k, float) for k, xs in enumerate(chars, start=2))
-    else:
-        packed.setflags(write=False)
-        vectors = tuple(packed[i, : i + 1] for i in range(m))
-    for v in vectors:
-        v.setflags(write=False)
-    return vectors
+        for k, xs in enumerate(chars, start=2):
+            _as_char(xs, k, float)
+        raise
+    packed.setflags(write=False)
+    return packed
 
 
 def sym_factor(k: int, theta: float, xs, n: int) -> np.ndarray:
@@ -97,23 +97,22 @@ def sym_factor(k: int, theta: float, xs, n: int) -> np.ndarray:
 
 
 def compose_symmetric(p: SymmetricParams) -> np.ndarray:
-    """Multiply out the palindrome A_2 ... A_n ... A_2.
+    """Multiply out the palindrome A_2 ... A_n ... A_2 as B B^T.
 
     Inner factors use theta_k / 2 under the half-angle convention (they
-    appear twice); the order-n factor always uses theta_n.  The palindrome
-    reads the same both ways, so left-multiplying its factors in sequence
-    onto the identity gives the product.  Each vector and its conjugate are
-    formed once, for both places of their order.
+    appear twice); the order-n factor always uses theta_n.  Each factor is
+    its own transpose, so the palindrome is B B^T for the ascending chain
+    B = A_2 ... A_{n-1} A_n(theta_n / 2), which :func:`compose` multiplies
+    out.  numpy forms a matrix times its own transpose as one triangle and
+    its mirror, so the result is exactly symmetric.
     """
     n = p.n
-    scale = 0.5 if p.half_angle else 1.0
-    chars = [1j * xs for xs in p.real_chars]
-    conjs = [a.conj() for a in chars]
-    v = np.eye(n, dtype=np.complex128)
-    for k in (*range(2, n + 1), *range(n - 1, 1, -1)):
-        theta = p.theta(k) if k == n else scale * p.theta(k)
-        _apply_block(theta, chars[k - 2], conjs[k - 2], v)
-    return v
+    thetas = np.multiply(p.thetas, 0.5 if p.half_angle else 1.0)
+    thetas[-1] = 0.5 * p.thetas[-1]
+    zeros = np.zeros(n)
+    half = Decomposition._of(n, range(2, n + 1), thetas, 1j * p.chars, zeros, zeros, ASCENDING)
+    b = compose(half)
+    return b @ b.T
 
 
 def v3sym_closed(theta2: float, theta3: float, xs) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -135,23 +136,19 @@ class TestComposeSymmetric:
         assert max_abs_diff(x, x.T) < 1e-12
 
 
-class TestComposeSymmetricKernel:
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_in_place_onto_one_array_with_each_vector_formed_once(self, n, monkeypatch):
-        import unichain.symmetric as sym
-
-        calls = []
-        kernel = sym._apply_block
-        monkeypatch.setattr(sym, "_apply_block", lambda *args: calls.append(args) or kernel(*args))
-        p = random_params(np.random.Generator(np.random.PCG64(80 + n)), n)
+class TestComposeSymmetricProduct:
+    @pytest.mark.parametrize("half_angle", [True, False], ids=["half", "raw"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 16, 64])
+    def test_exactly_symmetric_and_the_palindrome_of_embeds(self, n, half_angle):
+        p = random_params(np.random.Generator(np.random.PCG64(80 + n)), n, half_angle)
         v = compose_symmetric(p)
-        assert len(calls) == 2 * n - 3
-        assert all(rows is v for _, _, _, rows in calls)
-        for i in range(n - 2):  # order i + 2 appears at positions i and 2n - 4 - i
-            assert calls[i][1] is calls[2 * n - 4 - i][1]
-            assert calls[i][2] is calls[2 * n - 4 - i][2]  # its conjugate, formed once
-        assert all(np.array_equal(a_conj, a.conj()) for _, a, a_conj, _ in calls)
-        assert max_abs_diff(v, v.T) <= 1e-12
+        assert np.array_equal(v, v.T)
+        scale = 0.5 if half_angle else 1.0
+        inner = [sym_factor(k, scale * p.theta(k), p.char(k), n) for k in range(2, n)]
+        factors = [*inner, sym_factor(n, p.theta(n), p.char(n), n), *reversed(inner)]
+        palindrome = functools.reduce(np.matmul, factors)
+        assert max_abs_diff(v, palindrome) <= n * np.finfo(float).eps
+        assert unitarity_defect(v) < 1e-11
 
 
 class TestV3SymClosed:
@@ -309,6 +306,28 @@ class TestSymmetricParamsValidation:
             assert kept.tolist() == given.tolist() and not kept.flags.writeable
         chars[3][0] = 5.0
         assert p.real_chars[3][0] != 5.0
+
+    def test_vectors_share_one_array_in_the_chain_layout(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        p = random_params(rng, 6)
+        assert p.chars.shape == (5, 5) and not p.chars.flags.writeable
+        assert not p.chars[np.tri(5, k=-1, dtype=bool)].any()
+        for k in range(2, 7):
+            assert p.char(k) is p.real_chars[k - 2]
+            assert np.shares_memory(p.char(k), p.chars)
+            assert p.chars[: k - 1, k - 2].tolist() == p.char(k).tolist()
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 2.0, True], ids=["0", "1", "n+1", "float", "bool"])
+    def test_order_outside_the_integer_rule_rejected(self, k):
+        p = SymmetricParams(3, (0.1, 0.2), ([1.0], [0.6, 0.8]))
+        for read in (p.theta, p.char):
+            with pytest.raises(DomainError, match="order must be an integer"):
+                read(k)
+
+    def test_numpy_integer_order_reads(self):
+        p = SymmetricParams(3, (0.1, 0.2), ([1.0], [0.6, 0.8]))
+        assert p.theta(np.int64(3)) == 0.2
+        assert p.char(np.int64(2)).tolist() == [1.0]
 
 
 class TestDecomposeSymmetric:

@@ -28,7 +28,7 @@ parameters of order 1, a chain over the plaquette-table cap, documents of the wr
 their command, ``zerotexture`` at n = 5, ``panel`` on a non-unitary 1-by-1 matrix, reorder
 targets with a repeated order or of the wrong length, bad flags, ``gen`` orders 0 and -3,
 negative seeds of ``gen`` and ``verify``, tolerances that are not finite or are negative) or
-2 (``verify`` at a tolerance below rounding).  OUTDIR must be empty or new.  The 546
+2 (``verify`` at a tolerance below rounding).  OUTDIR must be empty or new.  The 554
 invocations run two at a time and take under two minutes on two cores.
 """
 
@@ -192,7 +192,7 @@ def stages() -> tuple:
             second.append((f"{t}-{cmd}", [cmd, "--in", f"{t}.stdout"], None))
     second.append(("invalid-zerotexture-tol-nan", ["zerotexture", "--tol", "nan"],
                    "@texture-0.stdout"))
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 8, 16):
         for half in (True, False):
             name = f"symmetric-n{n}-{'half' if half else 'full'}"
             docs.append((f"{name}.json", symmetric_params(n, half)))
